@@ -26,16 +26,18 @@ from .so3 import (
 )
 from .symrep import (
     DegenerateEigenspace,
-    EigenConvergenceError,
     EigenDecomp4,
     A_to_theta,
     pinv4_sym,
+    qcqp_forward,
     qcqp_jacobian,
     qcqp_jacobian_theta,
     qcqp_solve,
+    qcqp_vjp,
     smooth_section,
     symeig4,
     theta_to_A,
+    theta_to_A_adjoint,
 )
 from .bingham import (
     BinghamBelief,

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import canonicalize_quat
-from .symrep import DEFAULT_GAP_TOL, DegenerateEigenspace, symeig4
+from .symrep import DEFAULT_GAP_TOL, DegenerateEigenspace, qcqp_forward, symeig4
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,12 @@ def belief_from_A(A, gap_tol=DEFAULT_GAP_TOL):
     A = np.asarray(A, dtype=float)
     if A.shape != (4, 4):
         raise ValueError(f"belief_from_A expects a single (4, 4) matrix, got {A.shape}")
-    dec = symeig4(A)
-    gap = float(dec.eigengap)
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if gap < gap_tol * scale:
+    mode, dec, valid = qcqp_forward(A, gap_tol)
+    if not valid:
         raise DegenerateEigenspace(
-            f"mode is not unique (gap {gap:.3e} < {gap_tol:.1e} * {scale:.3e})")
+            f"mode is not unique (gap {float(dec.eigengap):.3e}, gap_tol {gap_tol:.1e})")
     lams, V = dec.lambdas, dec.vectors
     dispersions = np.array([lams[0] - lams[3], lams[0] - lams[2], lams[0] - lams[1]])
-    mode = canonicalize_quat(V[:, 0])
     axes = np.stack([V[:, 3], V[:, 2], V[:, 1], mode], axis=-1)
     return BinghamBelief(axes=axes, dispersions=dispersions)
 

@@ -7,7 +7,7 @@ dt-eval (dispersion-threshold OOD evaluation of a trained model), and
 avg (rotation averaging of a quaternion file).
 
 Exit codes: 0 success, 1 check failure or degenerate problem, 2 input error.
-All randomness derives from --seed; single-threaded runs are bit-deterministic.
+All randomness derives from --seed; runs are bit-deterministic.
 """
 
 import argparse
@@ -15,7 +15,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,7 +22,8 @@ from . import nn, svgplot
 from .averaging import chordal_mean, quat_mean
 from .bingham import dispersion_trace
 from .so3 import canonicalize_quat, d_ang, d_chord, d_quat, quat_to_rot
-from .symrep import DegenerateEigenspace, qcqp_solve, symeig4, theta_to_A, _THETA_POS
+from .symrep import (A_to_theta, DegenerateEigenspace, qcqp_forward, qcqp_jacobian_theta,
+                     qcqp_solve, theta_to_A)
 from .wahba import (
     CorrespondenceParseError,
     SyntheticConfig,
@@ -45,33 +45,13 @@ def _fmt(x):
 # grad-check
 
 
-def _min_eigvec_batch(A):
-    dec = symeig4(A)
-    q = canonicalize_quat(dec.vectors[..., :, 0])
-    return q, dec
-
-
-def _analytic_jacobian_theta_batch(q, dec):
-    """Batched dq*/dtheta via column assembly of q*^T kron pinv(l1 I - A)."""
-    lams, V = dec.lambdas, dec.vectors
-    denom = lams[..., :1] - lams[..., 1:]
-    weights = np.concatenate([np.zeros_like(denom[..., :1]), 1.0 / denom], axis=-1)
-    M = np.einsum("...ik,...k,...jk->...ij", V, weights, V)
-    cols = []
-    for i, j in _THETA_POS:
-        if i == j:
-            cols.append(q[..., i, None] * M[..., :, i])
-        else:
-            cols.append(q[..., j, None] * M[..., :, i] + q[..., i, None] * M[..., :, j])
-    return np.stack(cols, axis=-1)
-
-
 def run_grad_check(count=1000, seed=0, tolerance=1e-5, step=1e-5,
                    min_rel_gap=1e-2, self_test=False):
     """Finite-difference certification of the analytic QCQP Jacobian.
 
-    Draws random symmetric matrices with relative eigengap >= min_rel_gap
-    (gap / ||A||_F), compares the analytic dq*/dtheta against central
+    Draws random symmetric matrices with eigengap >= min_rel_gap *
+    max(1, ||A||_F), compares the analytic dq*/dtheta (qcqp_jacobian_theta,
+    the VJP training runs applied to the identity) against central
     differences with perturbed eigenvectors sign-aligned to the base.
     With self_test=True the analytic Jacobian is sign-flipped first; the
     check must then fail (negative control). Returns a report dict.
@@ -81,24 +61,22 @@ def run_grad_check(count=1000, seed=0, tolerance=1e-5, step=1e-5,
     while len(mats) < count:
         batch = rng.standard_normal((max(64, count), 4, 4))
         batch = 0.5 * (batch + np.swapaxes(batch, -1, -2))
-        dec = symeig4(batch)
-        fro = np.linalg.norm(batch.reshape(-1, 16), axis=-1)
-        keep = dec.eigengap >= min_rel_gap * fro
+        _, _, keep = qcqp_forward(batch, gap_tol=min_rel_gap)
         mats.extend(batch[keep])
     A = np.array(mats[:count])
 
-    q0, dec0 = _min_eigvec_batch(A)
-    J = _analytic_jacobian_theta_batch(q0, dec0)
+    q0, dec0, _ = qcqp_forward(A)
+    J = qcqp_jacobian_theta(A, dec0)
     if self_test:
         J = -J
 
     J_fd = np.zeros_like(J)
-    theta0 = np.stack([A[..., i, j] for i, j in _THETA_POS], axis=-1)
+    theta0 = A_to_theta(A)
     for k in range(10):
         for sgn in (+1.0, -1.0):
             th = theta0.copy()
             th[:, k] += sgn * step
-            qk, _ = _min_eigvec_batch(theta_to_A(th))
+            qk, _, _ = qcqp_forward(theta_to_A(th))
             align = np.where(np.sum(qk * q0, axis=-1) < 0, -1.0, 1.0)
             J_fd[:, :, k] += sgn * (qk * align[:, None]) / (2.0 * step)
 
@@ -137,8 +115,12 @@ def cmd_wahba(args):
         return 2
     R_true = None
     if args.synthetic:
-        cfg = SyntheticConfig(num_matches=args.n, sigma=args.sigma,
-                              phi_max=np.deg2rad(args.phi_max_deg), seed=args.seed)
+        try:
+            cfg = SyntheticConfig(num_matches=args.n, sigma=args.sigma,
+                                  phi_max=np.deg2rad(args.phi_max_deg), seed=args.seed)
+        except ValueError as exc:
+            print(f"error: invalid --sigma or --phi-max-deg: {exc}", file=sys.stderr)
+            return 2
         R_true, corr = sample_synthetic(cfg)
     else:
         try:
@@ -197,12 +179,7 @@ def cmd_train(args):
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
-    tasks = [(head, trial) for head in heads for trial in range(cfg.trials)]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            trials = list(pool.map(lambda ht: nn.train_single(cfg, ht[0], ht[1]), tasks))
-    else:
-        trials = [nn.train_single(cfg, head, trial) for head, trial in tasks]
+    trials = [nn.train_single(cfg, head, trial) for head in heads for trial in range(cfg.trials)]
 
     rows = []
     for t in trials:
@@ -352,6 +329,13 @@ def cmd_avg(args):
 # parser
 
 
+def _positive_int(text):
+    """argparse type for counts: an integer >= 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="so3sym",
@@ -361,7 +345,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("grad-check", help="finite-difference check of the QCQP layer Jacobian")
-    g.add_argument("--count", type=int, default=1000, help="number of random matrices")
+    g.add_argument("--count", type=_positive_int, default=1000, help="number of random matrices")
     g.add_argument("--tolerance", type=float, default=1e-5, help="max relative error allowed")
     g.add_argument("--self-test", action="store_true",
                    help="negative control: verify a corrupted Jacobian is rejected")
@@ -371,14 +355,13 @@ def build_parser():
     w.add_argument("input", nargs="?", default=None,
                    help="correspondence CSV (header ux,uy,uz,vx,vy,vz,sigma)")
     w.add_argument("--synthetic", action="store_true", help="generate a synthetic instance")
-    w.add_argument("--n", type=int, default=100, help="synthetic pair count")
+    w.add_argument("--n", type=_positive_int, default=100, help="synthetic pair count")
     w.add_argument("--sigma", type=float, default=0.01, help="synthetic noise std-dev")
     w.add_argument("--phi-max-deg", type=float, default=180.0, help="synthetic max angle")
     w.set_defaults(func=cmd_wahba)
 
     t = sub.add_parser("train", help="train rotation regressors per representation head")
     t.add_argument("config", help="JSON config path")
-    t.add_argument("--workers", type=int, default=1, help="parallel trials (default 1)")
     t.add_argument("--save-model", action="store_true", help="save trained models (.npz)")
     t.set_defaults(func=cmd_train)
 

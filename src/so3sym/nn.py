@@ -21,7 +21,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import so3
-from .symrep import DEFAULT_GAP_TOL, theta_to_A, symeig4, _THETA_POS
+from .symrep import (DEFAULT_GAP_TOL, DegenerateEigenspace, qcqp_forward, qcqp_vjp,
+                     theta_to_A, theta_to_A_adjoint)
 from .wahba import rng_for
 
 HEADS = ("quat", "6d", "A")
@@ -219,37 +220,11 @@ def _sixd_head_backward(raw, grad_R):
 
 def _sym_head_forward(raw, gap_tol=DEFAULT_GAP_TOL):
     """theta -> (q*, R, trace, decomp, valid). Invalid where the gap closes."""
-    theta = np.asarray(raw, dtype=float)
-    A = theta_to_A(theta)
-    dec = symeig4(A)
-    lams = dec.lambdas
-    fro = np.linalg.norm(A.reshape(A.shape[:-2] + (16,)), axis=-1)
-    valid = dec.eigengap >= gap_tol * np.maximum(1.0, fro)
-    q = so3.canonicalize_quat(np.swapaxes(dec.vectors, -1, -2)[..., 0, :])
+    q, dec, valid = qcqp_forward(theta_to_A(raw), gap_tol)
     q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
+    lams = dec.lambdas
     trace = 3.0 * lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
     return q, so3.quat_to_rot(q), trace, dec, valid
-
-
-def _sym_head_backward(dec, q, grad_q):
-    """Vector-Jacobian product through the QCQP layer, batched.
-
-    grad wrt A is (pinv(lambda1 I - A) grad_q) q*^T; theta entries then
-    accumulate their one or two symmetric matrix positions.
-    """
-    lams, V = dec.lambdas, dec.vectors
-    denom = lams[..., :1] - lams[..., 1:]  # negative: lambda1 - lambda_i
-    denom = np.where(denom == 0.0, -1.0, denom)  # degenerate rows get masked upstream
-    weights = np.concatenate([np.zeros_like(denom[..., :1]), 1.0 / denom], axis=-1)
-    Mg = np.einsum("...ik,...k,...jk,...j->...i", V, weights, V, grad_q)
-    grad_A = Mg[..., :, None] * q[..., None, :]
-    cols = []
-    for i, j in _THETA_POS:
-        if i == j:
-            cols.append(grad_A[..., i, i])
-        else:
-            cols.append(grad_A[..., i, j] + grad_A[..., j, i])
-    return np.stack(cols, axis=-1)
 
 
 def head_forward(head, raw, gap_tol=DEFAULT_GAP_TOL):
@@ -268,7 +243,6 @@ def head_forward(head, raw, gap_tol=DEFAULT_GAP_TOL):
     if head == "A":
         q, R, trace, dec, valid = _sym_head_forward(raw, gap_tol)
         if not valid:
-            from .symrep import DegenerateEigenspace
             raise DegenerateEigenspace("predicted A has a non-simple minimum eigenvalue")
         return HeadOutput(R=R, q=q, trace=float(trace))
     raise ValueError(f"unknown head {head!r}")
@@ -297,14 +271,13 @@ def head_backward(head, raw, grad_q=None, grad_R=None, gap_tol=DEFAULT_GAP_TOL):
     if head == "A":
         q, _, _, dec, valid = _sym_head_forward(raw, gap_tol)
         if not valid:
-            from .symrep import DegenerateEigenspace
             raise DegenerateEigenspace("predicted A has a non-simple minimum eigenvalue")
         g = np.zeros(4)
         if grad_q is not None:
             g = g + np.asarray(grad_q, dtype=float)
         if grad_R is not None:
             g = g + _grad_R_to_grad_q(q, np.asarray(grad_R, dtype=float))
-        return _sym_head_backward(dec, q, g)
+        return theta_to_A_adjoint(qcqp_vjp(dec, q, g))
     raise ValueError(f"unknown head {head!r}")
 
 
@@ -571,7 +544,7 @@ def _batch_head_backward(head, raw, q, aux, grad_q, grad_R):
     if head == "6d":
         return _sixd_head_backward(raw, grad_R)
     if head == "A":
-        return _sym_head_backward(aux, q, grad_q)
+        return theta_to_A_adjoint(qcqp_vjp(aux, q, grad_q))
     raise ValueError(f"unknown head {head!r}")
 
 

@@ -4,13 +4,14 @@ A rotation is encoded by a symmetric 4x4 matrix A, parameterized by a
 10-vector theta filling the upper triangle row by row. The rotation is
 read out as the minimum eigenvector of A (a unit quaternion, defined up
 to sign), which is the solution of min_q q^T A q subject to ||q|| = 1.
-The map is differentiable wherever the minimum eigenvalue is simple, with
-the analytic Jacobian dq*/dvec(A) = q*^T kron pinv(lambda1 I - A) in
-column-major vec convention.
+The map is differentiable wherever the minimum eigenvalue is simple; its
+vector-Jacobian product is grad_A = (pinv(lambda1 I - A) grad_q) q*^T.
 
-The eigensolver is a cyclic Jacobi iteration specialized to 4x4 symmetric
-matrices; it broadcasts over leading batch dimensions and is fully
-deterministic (fixed pivot order, per-matrix masked rotations).
+This module is the only one that knows how the QCQP layer works:
+`qcqp_forward` is the batched readout and holds the eigengap gate,
+`qcqp_vjp` its backward pass, and `theta_to_A_adjoint` pulls matrix
+gradients back to theta. The eigensolver is batched LAPACK `eigh` with a
+canonical eigenvector sign, so results are deterministic per matrix.
 """
 
 from dataclasses import dataclass
@@ -19,25 +20,15 @@ import numpy as np
 
 from .so3 import canonicalize_quat
 
-# Pivot order for one Jacobi sweep.
-_PIVOTS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-# Off-diagonal Frobenius tolerance (relative to ||A||_F) and sweep cap.
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 64
-
 # (row, col) of the upper triangle addressed by each theta entry, row-major.
 _THETA_POS = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+_ROWS, _COLS = np.array(_THETA_POS).T
 
 DEFAULT_GAP_TOL = 1e-8
 
 
 class DegenerateEigenspace(RuntimeError):
     """Minimum eigenvalue is not simple: the rotation readout is not unique."""
-
-
-class EigenConvergenceError(RuntimeError):
-    """Jacobi iteration failed to converge (pathological or non-finite input)."""
 
 
 @dataclass(frozen=True)
@@ -63,9 +54,8 @@ def theta_to_A(theta):
     if theta.shape[-1] != 10:
         raise ValueError(f"theta must have trailing dimension 10, got {theta.shape}")
     A = np.zeros(theta.shape[:-1] + (4, 4))
-    for k, (i, j) in enumerate(_THETA_POS):
-        A[..., i, j] = theta[..., k]
-        A[..., j, i] = theta[..., k]
+    A[..., _ROWS, _COLS] = theta
+    A[..., _COLS, _ROWS] = theta
     return A
 
 
@@ -74,7 +64,17 @@ def A_to_theta(A):
     A = np.asarray(A, dtype=float)
     if A.shape[-2:] != (4, 4):
         raise ValueError(f"A must have trailing shape (4, 4), got {A.shape}")
-    return np.stack([A[..., i, j] for i, j in _THETA_POS], axis=-1)
+    return A[..., _ROWS, _COLS]
+
+
+def theta_to_A_adjoint(grad_A):
+    """Adjoint of theta_to_A: pulls a (..., 4, 4) gradient back to (..., 10).
+
+    Each theta entry collects the one (diagonal) or two (off-diagonal)
+    matrix positions it fills.
+    """
+    grad_A = np.asarray(grad_A, dtype=float)
+    return grad_A[..., _ROWS, _COLS] + np.where(_ROWS != _COLS, grad_A[..., _COLS, _ROWS], 0.0)
 
 
 def _check_symmetric(A):
@@ -88,80 +88,65 @@ def _check_symmetric(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def symeig4(A, max_sweeps=_JACOBI_MAX_SWEEPS):
-    """Eigendecompose symmetric 4x4 matrices by cyclic Jacobi rotations.
+def symeig4(A):
+    """Eigendecompose symmetric 4x4 matrices with batched LAPACK eigh.
 
-    Accepts (..., 4, 4); deterministic for fixed input regardless of what
-    else shares the batch (rotations are masked off per matrix once its
-    off-diagonal mass is negligible). Raises EigenConvergenceError if the
-    off-diagonal norm does not fall below 1e-14 * ||A||_F in max_sweeps.
+    Accepts (..., 4, 4). Each matrix is decomposed on its own, so the
+    result for one matrix does not depend on what else shares the batch.
+    Eigenvector signs are canonical: each column's largest-magnitude
+    entry is positive. Raises ValueError on asymmetric or non-finite input.
     """
     A = _check_symmetric(A)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    batch_shape = A.shape[:-2]
-    B = A.reshape((-1, 4, 4)).copy()
-    n = B.shape[0]
-    V = np.broadcast_to(np.eye(4), (n, 4, 4)).copy()
-    fro = np.linalg.norm(B.reshape(n, 16), axis=-1)
-    # Pivot threshold low enough that all-masked implies converged.
-    pivot_thr = (_JACOBI_TOL / 3.0) * fro
+    lams, V = np.linalg.eigh(A)
+    idx = np.argmax(np.abs(V), axis=-2)
+    picked = np.take_along_axis(V, idx[..., None, :], axis=-2)[..., 0, :]
+    V = V * np.where(picked < 0, -1.0, 1.0)[..., None, :]
+    return EigenDecomp4(lams, V)
 
-    def offdiag_ok():
-        off = B.copy()
-        off[:, range(4), range(4)] = 0.0
-        onorm = np.linalg.norm(off.reshape(n, 16), axis=-1)
-        return onorm <= _JACOBI_TOL * np.maximum(fro, 1e-300)
 
-    converged = False
-    for _ in range(max_sweeps):
-        if np.all(offdiag_ok()):
-            converged = True
-            break
-        for p, q in _PIVOTS:
-            apq = B[:, p, q]
-            mask = np.abs(apq) > pivot_thr
-            if not mask.any():
-                continue
-            app, aqq = B[:, p, p], B[:, q, q]
-            apq_safe = np.where(mask, apq, 1.0)
-            tau = (aqq - app) / (2.0 * apq_safe)
-            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where(tau == 0.0, 1.0, t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            c = np.where(mask, c, 1.0)[:, None]
-            s = np.where(mask, s, 0.0)[:, None]
-            # Two-sided Givens update B <- J^T B J, J = I with
-            # J[p,p]=c, J[q,q]=c, J[p,q]=s, J[q,p]=-s; then V <- V J.
-            bp = B[:, :, p].copy()
-            bq = B[:, :, q].copy()
-            B[:, :, p] = c * bp - s * bq
-            B[:, :, q] = s * bp + c * bq
-            bp = B[:, p, :].copy()
-            bq = B[:, q, :].copy()
-            B[:, p, :] = c * bp - s * bq
-            B[:, q, :] = s * bp + c * bq
-            B[:, p, q] = np.where(mask, 0.0, B[:, p, q])
-            B[:, q, p] = B[:, p, q]
-            vp = V[:, :, p].copy()
-            vq = V[:, :, q].copy()
-            V[:, :, p] = c * vp - s * vq
-            V[:, :, q] = s * vp + c * vq
-    else:
-        converged = bool(np.all(offdiag_ok()))
-    if not converged:
-        raise EigenConvergenceError(f"Jacobi sweep cap {max_sweeps} reached without convergence")
+def qcqp_forward(A, gap_tol=DEFAULT_GAP_TOL, decomp=None):
+    """Batched QCQP readout of (..., 4, 4) matrices: (q*, decomp, valid).
 
-    lams = B[:, range(4), range(4)]
-    order = np.argsort(lams, axis=-1, kind="stable")
-    lams = np.take_along_axis(lams, order, axis=-1)
-    V = np.take_along_axis(V, order[:, None, :], axis=-1)
-    # Canonical eigenvector sign: largest-magnitude component positive.
-    idx = np.argmax(np.abs(V), axis=1)
-    picked = np.take_along_axis(V, idx[:, None, :], axis=1)[:, 0, :]
-    V = V * np.where(picked < 0, -1.0, 1.0)[:, None, :]
-    return EigenDecomp4(lams.reshape(batch_shape + (4,)), V.reshape(batch_shape + (4, 4)))
+    q* is the canonical-sign minimum eigenvector and decomp the
+    symeig4(A) it came from (pass it in when already computed). valid is
+    False where the minimum eigenvalue is not simple,
+    lambda2 - lambda1 < gap_tol * max(1, ||A||_F); q* there is arbitrary.
+    """
+    A = np.asarray(A, dtype=float)
+    if decomp is None:
+        decomp = symeig4(A)
+    fro = np.linalg.norm(A.reshape(A.shape[:-2] + (16,)), axis=-1)
+    valid = decomp.eigengap >= gap_tol * np.maximum(1.0, fro)
+    q = canonicalize_quat(decomp.vectors[..., :, 0])
+    return q, decomp, valid
+
+
+def _raise_if_degenerate(valid, decomp, gap_tol):
+    if not valid.all():
+        gap = float(np.min(decomp.eigengap[~valid]))
+        where = f" in {np.count_nonzero(~valid)} of {valid.size} matrices" if valid.ndim else ""
+        raise DegenerateEigenspace(
+            f"minimum eigenvalue is not simple{where} "
+            f"(gap {gap:.3e} < {gap_tol:.1e} * max(1, ||A||_F))")
+
+
+def qcqp_vjp(decomp, q, grad_q):
+    """Vector-Jacobian product of the QCQP layer, batched.
+
+    Maps upstream gradients grad_q (..., 4) at the readout q* to
+    grad_A = (pinv(lambda1 I - A) grad_q) q*^T, shape (..., 4, 4), with
+    pinv(lambda1 I - A) = sum_{i>=2} v_i v_i^T / (lambda1 - lambda_i).
+    Only meaningful where qcqp_forward reports valid; callers mask the rest.
+    """
+    lams, V = decomp.lambdas, decomp.vectors
+    denom = lams[..., :1] - lams[..., 1:]
+    denom = np.where(denom == 0.0, -1.0, denom)  # exact ties are invalid rows; avoid 1/0
+    weights = np.concatenate([np.zeros_like(denom[..., :1]), 1.0 / denom], axis=-1)
+    coeffs = np.einsum("...jk,...j->...k", V, grad_q) * weights
+    Mg = np.einsum("...ik,...k->...i", V, coeffs)
+    return Mg[..., :, None] * q[..., None, :]
 
 
 def qcqp_solve(A, gap_tol=DEFAULT_GAP_TOL):
@@ -173,14 +158,9 @@ def qcqp_solve(A, gap_tol=DEFAULT_GAP_TOL):
     A = np.asarray(A, dtype=float)
     if A.shape != (4, 4):
         raise ValueError(f"qcqp_solve expects a single (4, 4) matrix, got {A.shape}")
-    dec = symeig4(A)
-    gap = float(dec.eigengap)
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if gap < gap_tol * scale:
-        raise DegenerateEigenspace(
-            f"minimum eigenvalue is not simple (gap {gap:.3e} < {gap_tol:.1e} * {scale:.3e})")
-    q = canonicalize_quat(dec.vectors[:, 0])
-    return q, gap
+    q, dec, valid = qcqp_forward(A, gap_tol)
+    _raise_if_degenerate(valid, dec, gap_tol)
+    return q, float(dec.eigengap)
 
 
 def pinv4_sym(M, rank_tol=1e-12):
@@ -196,45 +176,28 @@ def pinv4_sym(M, rank_tol=1e-12):
     return (V * inv[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
+def _qcqp_jacobian_A(A, decomp, gap_tol):
+    """dq*/dA as (..., 4, 4, 4), [..., r, i, j] = dq*_r / dA_ij: qcqp_vjp on the rows of I."""
+    q, dec, valid = qcqp_forward(A, gap_tol, decomp)
+    _raise_if_degenerate(valid, dec, gap_tol)
+    rows = EigenDecomp4(dec.lambdas[..., None, :], dec.vectors[..., None, :, :])
+    return qcqp_vjp(rows, q[..., None, :], np.eye(4))
+
+
 def qcqp_jacobian(A, decomp=None, gap_tol=DEFAULT_GAP_TOL):
-    """Analytic 4x16 Jacobian dq*/dvec(A), column-major vec.
+    """Analytic (..., 4, 16) Jacobian dq*/dvec(A), column-major vec.
 
-    Rows index the canonical-sign minimum eigenvector q*; built as
-    q*^T kron pinv(lambda1 I - A). Requires a simple minimum eigenvalue.
+    Rows index the canonical-sign minimum eigenvector q*; equals
+    q*^T kron pinv(lambda1 I - A). Raises DegenerateEigenspace unless
+    every minimum eigenvalue is simple.
     """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (4, 4):
-        raise ValueError(f"qcqp_jacobian expects a single (4, 4) matrix, got {A.shape}")
-    if decomp is None:
-        decomp = symeig4(A)
-    gap = float(decomp.eigengap)
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if gap < gap_tol * scale:
-        raise DegenerateEigenspace(
-            f"minimum eigenvalue is not simple (gap {gap:.3e} < {gap_tol:.1e} * {scale:.3e})")
-    q = canonicalize_quat(decomp.vectors[:, 0])
-    lam1 = decomp.lambdas[0]
-    # pinv(lambda1 I - A) = sum_{i>=2} v_i v_i^T / (lambda1 - lambda_i).
-    V, lams = decomp.vectors, decomp.lambdas
-    weights = np.zeros(4)
-    weights[1:] = 1.0 / (lam1 - lams[1:])
-    M = (V * weights) @ V.T
-    return np.kron(q[None, :], M)
-
-
-def theta_duplication_matrix():
-    """16x10 matrix G with vec(theta_to_A(theta)) = G @ theta (column-major vec)."""
-    G = np.zeros((16, 10))
-    for k, (i, j) in enumerate(_THETA_POS):
-        G[4 * j + i, k] = 1.0
-        G[4 * i + j, k] = 1.0  # same slot when i == j
-    return G
+    J = np.swapaxes(_qcqp_jacobian_A(A, decomp, gap_tol), -1, -2)
+    return J.reshape(J.shape[:-2] + (16,))
 
 
 def qcqp_jacobian_theta(A, decomp=None, gap_tol=DEFAULT_GAP_TOL):
-    """4x10 Jacobian dq*/dtheta: qcqp_jacobian chained through the theta layout."""
-    J = qcqp_jacobian(A, decomp, gap_tol)
-    return J @ theta_duplication_matrix()
+    """(..., 4, 10) Jacobian dq*/dtheta: dq*/dA pulled back through theta_to_A."""
+    return theta_to_A_adjoint(_qcqp_jacobian_A(A, decomp, gap_tol))
 
 
 def smooth_section(q):

@@ -46,6 +46,22 @@ def test_grad_check_deterministic_report(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["grad-check", "--count", "0"], "--count"),
+    (["grad-check", "--count", "-3"], "--count"),
+    (["wahba", "--synthetic", "--n", "0"], "--n"),
+    (["wahba", "--synthetic", "--sigma", "-1"], "--sigma"),
+    (["wahba", "--synthetic", "--phi-max-deg", "0"], "--phi-max-deg"),
+], ids=["count-0", "count-neg", "n-0", "sigma-neg", "phi-max-0"])
+def test_out_of_range_flag_exits_2(capsys, argv, flag):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
 # -- wahba --------------------------------------------------------------------
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from so3sym import so3, symrep
+from so3sym import nn, so3, symrep
 from so3sym.symrep import DegenerateEigenspace
 
 from util import eig4_bisection_oracle
@@ -250,6 +250,54 @@ def test_jacobian_theta_directional():
 def test_jacobian_degenerate_raises():
     with pytest.raises(DegenerateEigenspace):
         symrep.qcqp_jacobian(np.eye(4))
+
+
+def test_jacobian_theta_batch_matches_single():
+    rng = np.random.default_rng(20)
+    A = rand_sym(rng, 8)
+    J = symrep.qcqp_jacobian_theta(A)
+    assert J.shape == (8, 4, 10)
+    for i in range(8):
+        assert np.abs(J[i] - symrep.qcqp_jacobian_theta(A[i])).max() < 1e-14 * max(1.0, np.abs(J[i]).max())
+
+
+def test_jacobian_theta_batch_degenerate_raises():
+    rng = np.random.default_rng(21)
+    A = rand_sym(rng, 5)
+    A[3] = np.eye(4)
+    with pytest.raises(DegenerateEigenspace):
+        symrep.qcqp_jacobian_theta(A)
+
+
+def test_training_vjp_matches_jacobian_theta():
+    rng = np.random.default_rng(22)
+    raw = rng.standard_normal((32, 10))
+    q, _, _, dec, valid = nn._batch_head("A", raw)
+    assert valid.all()
+    grad_q = rng.standard_normal((32, 4))
+    grad_raw = nn._batch_head_backward("A", raw, q, dec, grad_q, None)
+    J = symrep.qcqp_jacobian_theta(symrep.theta_to_A(raw))
+    expect = np.einsum("nrk,nr->nk", J, grad_q)
+    assert np.abs(grad_raw - expect).max() < 1e-12 * max(1.0, np.abs(expect).max())
+
+
+def test_qcqp_forward_valid_mask_matches_qcqp_solve():
+    rng = np.random.default_rng(23)
+    A = np.stack([np.eye(4), rand_sym(rng), np.zeros((4, 4)), np.diag([0.0, 1.0, 2.0, 3.0])])
+    q, dec, valid = symrep.qcqp_forward(A)
+    assert valid.tolist() == [False, True, False, True]
+    assert np.array_equal(dec.lambdas, symrep.symeig4(A).lambdas)
+    for i in np.flatnonzero(valid):
+        assert np.array_equal(q[i], symrep.qcqp_solve(A[i])[0])
+
+
+def test_theta_to_A_adjoint_identity():
+    rng = np.random.default_rng(24)
+    theta = rng.standard_normal((20, 10))
+    G = rng.standard_normal((20, 4, 4))
+    lhs = np.sum(symrep.theta_to_A(theta) * G, axis=(-2, -1))
+    rhs = np.sum(theta * symrep.theta_to_A_adjoint(G), axis=-1)
+    assert np.abs(lhs - rhs).max() < 1e-12
 
 
 # -- pseudo-inverse -----------------------------------------------------------
