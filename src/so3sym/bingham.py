@@ -71,8 +71,7 @@ def dispersion_trace(A):
     Equals the sum of the belief's dispersion coefficients; invariant
     under A -> A + c*I. Broadcasts over leading batch dimensions.
     """
-    lams = symeig4(A).lambdas
-    return 3.0 * lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+    return symeig4(A).dispersion_trace
 
 
 def dt_fit(train_traces, q):

@@ -20,10 +20,8 @@ import numpy as np
 
 from . import nn, svgplot
 from .averaging import chordal_mean, quat_mean
-from .bingham import dispersion_trace
 from .so3 import canonicalize_quat, d_ang, d_chord, d_quat, quat_to_rot
-from .symrep import (A_to_theta, DegenerateEigenspace, qcqp_forward, qcqp_jacobian_theta,
-                     qcqp_solve, theta_to_A)
+from .symrep import A_to_theta, DegenerateEigenspace, qcqp_forward, qcqp_jacobian_theta, theta_to_A
 from .wahba import (
     CorrespondenceParseError,
     SyntheticConfig,
@@ -131,16 +129,15 @@ def cmd_wahba(args):
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    A = build_data_matrix(corr)
-    try:
-        q, gap = qcqp_solve(A)
-    except DegenerateEigenspace as exc:
-        print(f"error: degenerate problem: {exc}", file=sys.stderr)
+    q, dec, valid = qcqp_forward(build_data_matrix(corr))
+    if not valid:
+        print(f"error: degenerate problem: minimum eigenvalue is not simple "
+              f"(gap {dec.eigengap:.3e})", file=sys.stderr)
         return 1
     print(f"pairs: {len(corr)}")
     print(f"q_star: {_fmt(q[0])} {_fmt(q[1])} {_fmt(q[2])} {_fmt(q[3])}")
-    print(f"eigengap: {_fmt(gap)}")
-    print(f"dispersion_trace: {_fmt(dispersion_trace(A))}")
+    print(f"eigengap: {_fmt(dec.eigengap)}")
+    print(f"dispersion_trace: {_fmt(dec.dispersion_trace)}")
     if R_true is not None:
         err = np.rad2deg(d_ang(quat_to_rot(q), R_true))
         print(f"angular_error_deg: {_fmt(err)}")
@@ -174,17 +171,12 @@ def cmd_train(args):
         raw_cfg["seed"] = args.seed
     try:
         cfg = nn.TrainConfig.from_dict(raw_cfg)
-        heads = cfg.heads()
     except (TypeError, ValueError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
 
-    trials = [nn.train_single(cfg, head, trial) for head in heads for trial in range(cfg.trials)]
-
-    rows = []
-    for t in trials:
-        rows.extend(t.rows)
-    rows.sort(key=lambda r: (r.head, r.trial, r.epoch, r.split))
+    result = nn.train_experiment(cfg)
+    rows = sorted(result.rows(), key=lambda r: (r.head, r.trial, r.epoch, r.split))
 
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "results.csv")
@@ -195,11 +187,11 @@ def cmd_train(args):
     print(f"wrote {svg_path}")
 
     if args.save_model:
-        for t in trials:
+        for t in result.trials:
             path = os.path.join(args.out, f"model_{t.head}_t{t.trial}.npz")
             nn.save_model(path, t.net, t.head, cfg)
             print(f"wrote {path}")
-    degen = sum(t.degenerate_count for t in trials)
+    degen = sum(t.degenerate_count for t in result.trials)
     if degen:
         print(f"degenerate training samples skipped: {degen}")
     return 0
@@ -212,14 +204,14 @@ def cmd_train(args):
 def cmd_dt_eval(args):
     try:
         net, head, cfg_dict = nn.load_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
+        cfg = nn.TrainConfig.from_dict(cfg_dict)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot load model {args.model}: {exc}", file=sys.stderr)
         return 2
     if head != "A":
         print(f"error: dispersion thresholding requires a symmetric-matrix head model, got {head!r}",
               file=sys.stderr)
         return 2
-    cfg = nn.TrainConfig.from_dict(cfg_dict)
     rng = rng_for(args.seed, 404)
     report = nn.dt_evaluate(net, cfg, args.q, args.corruption, rng, n_mix=args.mix)
 
@@ -336,6 +328,13 @@ def _positive_int(text):
     return int(text)
 
 
+def _positive_float(text):
+    """argparse type for --q: a number > 0 (argparse itself rejects non-numbers)."""
+    if not float(text) > 0:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
+    return float(text)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="so3sym",
@@ -368,8 +367,9 @@ def build_parser():
     d = sub.add_parser("dt-eval", help="dispersion-threshold OOD evaluation of a trained model")
     d.add_argument("model", help="model .npz path (symmetric-matrix head)")
     d.add_argument("--corruption", choices=nn.CORRUPTIONS, default="noise")
-    d.add_argument("--q", type=float, default=0.75, help="training quantile for the threshold")
-    d.add_argument("--mix", type=int, default=200, help="test mix size (50%% corrupted)")
+    d.add_argument("--q", type=_positive_float, default=0.75,
+                   help="training quantile for the threshold (> 0; >= 1 keeps everything)")
+    d.add_argument("--mix", type=_positive_int, default=200, help="test mix size (50%% corrupted)")
     d.set_defaults(func=cmd_dt_eval)
 
     a = sub.add_parser("avg", help="average a CSV of unit quaternions")

@@ -10,9 +10,12 @@ input, which one of three interchangeable heads turns into a rotation:
           (this head also exposes a dispersion trace per sample).
 
 Losses (squared quaternion, chordal, angular distances), Adam, and the
-synthetic training protocol live here as well. Everything is plain numpy
-and deterministic for a fixed seed; batches broadcast over the leading
-dimension.
+synthetic training protocol live here as well. Heads and losses have one
+batched implementation each (`_batch_head`, `_batch_head_backward`,
+`_batch_loss`), which masks degenerate samples; the single-sample
+`head_forward`, `head_backward` and `loss_eval` are wrappers over it that
+raise instead. Everything is plain numpy and deterministic for a fixed
+seed.
 """
 
 import json
@@ -177,21 +180,6 @@ def _quat_head_backward(raw, grad_q):
     return (grad_q - q * np.sum(q * grad_q, axis=-1, keepdims=True)) / n
 
 
-def _sixd_head_forward(raw, eps=1e-9):
-    raw = np.asarray(raw, dtype=float)
-    a1, a2 = raw[..., :3], raw[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1)
-    b1 = a1 / np.where(n1 > eps, n1, 1.0)[..., None]
-    u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
-    n2 = np.linalg.norm(u2, axis=-1)
-    valid = (n1 > eps) & (n2 > eps)
-    b2 = u2 / np.where(n2 > eps, n2, 1.0)[..., None]
-    b3 = np.cross(b1, b2)
-    R = np.stack([b1, b2, b3], axis=-1)
-    R = np.where(valid[..., None, None], R, np.eye(3))
-    return R, valid
-
-
 def _sixd_head_backward(raw, grad_R):
     raw = np.asarray(raw, dtype=float)
     a1, a2 = raw[..., :3], raw[..., 3:]
@@ -222,9 +210,54 @@ def _sym_head_forward(raw, gap_tol=DEFAULT_GAP_TOL):
     """theta -> (q*, R, trace, decomp, valid). Invalid where the gap closes."""
     q, dec, valid = qcqp_forward(theta_to_A(raw), gap_tol)
     q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
-    lams = dec.lambdas
-    trace = 3.0 * lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
-    return q, so3.quat_to_rot(q), trace, dec, valid
+    return q, so3.quat_to_rot(q), dec.dispersion_trace, dec, valid
+
+
+def _batch_head(head, raw, gap_tol=DEFAULT_GAP_TOL):
+    """Batched head forward: (q, R, trace-or-None, aux, valid)."""
+    if head == "quat":
+        q, R, valid = _quat_head_forward(raw)
+        return q, R, None, None, valid
+    if head == "6d":
+        R, valid = so3.sixd_to_rot_masked(raw)
+        return so3.rot_to_quat(R), R, None, None, valid
+    if head == "A":
+        return _sym_head_forward(raw, gap_tol)
+    raise ValueError(f"unknown head {head!r}")
+
+
+def _batch_head_backward(head, raw, q, aux, grad_q, grad_R):
+    """Batched gradient wrt raw; the 6d head reads grad_R only."""
+    if grad_R is not None and head != "6d":
+        extra = _grad_R_to_grad_q(q, grad_R)
+        grad_q = extra if grad_q is None else grad_q + extra
+    if head == "quat":
+        return _quat_head_backward(raw, grad_q)
+    if head == "6d":
+        return _sixd_head_backward(raw, grad_R)
+    if head == "A":
+        return theta_to_A_adjoint(qcqp_vjp(aux, q, grad_q))
+    raise ValueError(f"unknown head {head!r}")
+
+
+# What a single-sample wrapper raises when the batched head masks its input.
+_DEGENERATE = {"quat": (ValueError, "quat head input has near-zero norm"),
+               "6d": (ValueError, "6d head input is degenerate: a1 near zero or a2 near span(a1)"),
+               "A": (DegenerateEigenspace, "predicted A has a non-simple minimum eigenvalue")}
+
+
+def _single_head(head, raw, gap_tol):
+    """_batch_head on one sample given a batch axis; raises where it is invalid."""
+    q, R, trace, aux, valid = _batch_head(head, raw, gap_tol)
+    if not valid[0]:
+        exc, msg = _DEGENERATE[head]
+        raise exc(msg)
+    return q, R, trace, aux
+
+
+def _batch1(x):
+    """Add a leading batch axis; None stays None."""
+    return None if x is None else np.asarray(x, dtype=float)[None]
 
 
 def head_forward(head, raw, gap_tol=DEFAULT_GAP_TOL):
@@ -232,53 +265,19 @@ def head_forward(head, raw, gap_tol=DEFAULT_GAP_TOL):
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (HEAD_DIMS[head],):
         raise ValueError(f"head {head!r} expects a {HEAD_DIMS[head]}-vector, got {raw.shape}")
-    if head == "quat":
-        q, R, valid = _quat_head_forward(raw)
-        if not valid:
-            raise ValueError("quat head input has near-zero norm")
-        return HeadOutput(R=R, q=q)
-    if head == "6d":
-        R = so3.sixd_to_rot(raw)
-        return HeadOutput(R=R, q=so3.rot_to_quat(R))
-    if head == "A":
-        q, R, trace, dec, valid = _sym_head_forward(raw, gap_tol)
-        if not valid:
-            raise DegenerateEigenspace("predicted A has a non-simple minimum eigenvalue")
-        return HeadOutput(R=R, q=q, trace=float(trace))
-    raise ValueError(f"unknown head {head!r}")
+    q, R, trace, _ = _single_head(head, raw[None], gap_tol)
+    return HeadOutput(R=R[0], q=q[0], trace=None if trace is None else float(trace[0]))
 
 
 def head_backward(head, raw, grad_q=None, grad_R=None, gap_tol=DEFAULT_GAP_TOL):
     """Gradient wrt raw from upstream gradient wrt q and/or R (single sample)."""
-    raw = np.asarray(raw, dtype=float)
     if grad_q is None and grad_R is None:
         raise ValueError("head_backward needs grad_q and/or grad_R")
-    if head == "quat":
-        q, _, valid = _quat_head_forward(raw)
-        if not valid:
-            raise ValueError("quat head input has near-zero norm")
-        g = np.zeros(4)
-        if grad_q is not None:
-            g = g + np.asarray(grad_q, dtype=float)
-        if grad_R is not None:
-            g = g + _grad_R_to_grad_q(q, np.asarray(grad_R, dtype=float))
-        return _quat_head_backward(raw, g)
-    if head == "6d":
-        if grad_q is not None:
-            raise ValueError("6d head only propagates gradients wrt R")
-        so3.sixd_to_rot(raw)  # degeneracy check
-        return _sixd_head_backward(raw, np.asarray(grad_R, dtype=float))
-    if head == "A":
-        q, _, _, dec, valid = _sym_head_forward(raw, gap_tol)
-        if not valid:
-            raise DegenerateEigenspace("predicted A has a non-simple minimum eigenvalue")
-        g = np.zeros(4)
-        if grad_q is not None:
-            g = g + np.asarray(grad_q, dtype=float)
-        if grad_R is not None:
-            g = g + _grad_R_to_grad_q(q, np.asarray(grad_R, dtype=float))
-        return theta_to_A_adjoint(qcqp_vjp(dec, q, g))
-    raise ValueError(f"unknown head {head!r}")
+    if head == "6d" and grad_q is not None:
+        raise ValueError("6d head only propagates gradients wrt R")
+    raw = _batch1(raw)
+    q, _, _, aux = _single_head(head, raw, gap_tol)
+    return _batch_head_backward(head, raw, q, aux, _batch1(grad_q), _batch1(grad_R))[0]
 
 
 def head_norm_metric(raw):
@@ -316,18 +315,24 @@ def _loss_ang(R, R_gt):
     return loss, factor[..., None, None] * R_gt
 
 
+def _batch_loss(kind, q, R, q_gt, R_gt):
+    """Per-sample losses and upstream gradients (grad_q, grad_R)."""
+    if kind == "quat":
+        loss, gq = _loss_quat(q, q_gt)
+        return loss, gq, None
+    if kind == "chord":
+        loss, gR = _loss_chord(R, R_gt)
+        return loss, None, gR
+    if kind == "ang":
+        loss, gR = _loss_ang(R, R_gt)
+        return loss, None, gR
+    raise ValueError(f"unknown loss {kind!r}")
+
+
 def loss_eval(kind, R, q, R_gt, q_gt):
     """Evaluate one loss; returns (value, grad_R, grad_q), unused grad None."""
-    if kind == "quat":
-        loss, grad_q = _loss_quat(np.asarray(q, float), np.asarray(q_gt, float))
-        return float(loss), None, grad_q
-    if kind == "chord":
-        loss, grad_R = _loss_chord(np.asarray(R, float), np.asarray(R_gt, float))
-        return float(loss), grad_R, None
-    if kind == "ang":
-        loss, grad_R = _loss_ang(np.asarray(R, float), np.asarray(R_gt, float))
-        return float(loss), grad_R, None
-    raise ValueError(f"unknown loss {kind!r}")
+    loss, gq, gR = _batch_loss(kind, _batch1(q), _batch1(R), _batch1(q_gt), _batch1(R_gt))
+    return float(loss[0]), None if gR is None else gR[0], None if gq is None else gq[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +400,26 @@ class TrainConfig:
     test_rotations: int = 300
     lr_range: tuple = (1e-4, 1e-3)
     batches_per_epoch: int = 5
+
+    def __post_init__(self):
+        """Range-check every numeric setting; errors name the key."""
+        def require(key, ok, what):
+            if not ok:
+                raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
+
+        for key in ("trials", "batch_rotations", "matches_per_rotation", "test_rotations",
+                    "batches_per_epoch"):
+            require(key, getattr(self, key) >= 1, ">= 1")
+        require("epochs", self.epochs >= 0, ">= 0")
+        require("hidden_widths", all(w >= 1 for w in self.hidden_widths), "a list of widths >= 1")
+        require("lr", self.lr is None or 0.0 <= self.lr < np.inf, "null or finite and >= 0")
+        lo_hi = self.lr_range
+        require("lr_range", len(lo_hi) == 2 and 0.0 < lo_hi[0] <= lo_hi[1] < np.inf,
+                "a finite [lo, hi] with 0 < lo <= hi")
+        require("phi_max_deg", 0.0 < self.phi_max_deg <= 180.0, "in (0, 180]")
+        require("sigma", 0.0 <= self.sigma < np.inf, "finite and >= 0")
+        require("loss", self.loss in LOSSES, f"one of {LOSSES}")
+        self.heads()
 
     def heads(self):
         h = self.head
@@ -507,47 +532,6 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
     return x, so3.rot_to_quat(R_gt), R_gt
 
 
-def _batch_head(head, raw, gap_tol=DEFAULT_GAP_TOL):
-    """Batched head forward: (q, R, trace-or-None, aux, valid)."""
-    if head == "quat":
-        q, R, valid = _quat_head_forward(raw)
-        return q, R, None, None, valid
-    if head == "6d":
-        R, valid = _sixd_head_forward(raw)
-        return so3.rot_to_quat(R), R, None, None, valid
-    if head == "A":
-        q, R, trace, dec, valid = _sym_head_forward(raw, gap_tol)
-        return q, R, trace, dec, valid
-    raise ValueError(f"unknown head {head!r}")
-
-
-def _batch_loss(kind, q, R, q_gt, R_gt):
-    """Per-sample losses and upstream gradients (grad_q, grad_R)."""
-    if kind == "quat":
-        loss, gq = _loss_quat(q, q_gt)
-        return loss, gq, None
-    if kind == "chord":
-        loss, gR = _loss_chord(R, R_gt)
-        return loss, None, gR
-    if kind == "ang":
-        loss, gR = _loss_ang(R, R_gt)
-        return loss, None, gR
-    raise ValueError(f"unknown loss {kind!r}")
-
-
-def _batch_head_backward(head, raw, q, aux, grad_q, grad_R):
-    if grad_R is not None and head != "6d":
-        extra = _grad_R_to_grad_q(q, grad_R)
-        grad_q = extra if grad_q is None else grad_q + extra
-    if head == "quat":
-        return _quat_head_backward(raw, grad_q)
-    if head == "6d":
-        return _sixd_head_backward(raw, grad_R)
-    if head == "A":
-        return theta_to_A_adjoint(qcqp_vjp(aux, q, grad_q))
-    raise ValueError(f"unknown head {head!r}")
-
-
 def _angular_errors_deg(R, R_gt, valid):
     errs = np.rad2deg(so3.d_ang(R, R_gt))
     return errs[valid]
@@ -574,8 +558,6 @@ def evaluate(net, head, x, R_gt, gap_tol=DEFAULT_GAP_TOL):
 
 def train_single(cfg, head, trial=0):
     """Train one head for one trial; returns a TrialResult."""
-    if cfg.loss not in LOSSES:
-        raise ValueError(f"unknown loss {cfg.loss!r}; choose from {LOSSES}")
     if cfg.loss == "quat" and head == "6d":
         raise ValueError("quat loss is not differentiable through the 6d head; use chord or ang")
     lr = cfg.lr
@@ -699,34 +681,27 @@ def dt_evaluate(net, cfg, q, corruption, rng, n_mix=200, n_reference=1000):
 
     if corruption not in CORRUPTIONS:
         raise ValueError(f"unknown corruption {corruption!r}; choose from {CORRUPTIONS}")
-    x_ref, _, _ = sample_batch(cfg, rng, n_reference)
-    raw_ref, _ = forward(net, x_ref)
-    _, _, ref_traces, _, _ = _sym_head_forward(raw_ref)
-    threshold = dt_fit(ref_traces, min(q, 1.0))
-
     n_corrupt = 0 if corruption == "none" else n_mix // 2
     n_clean = n_mix - n_corrupt
-    x_cl, _, R_cl = sample_batch(cfg, rng, n_clean)
-    raw_cl, _ = forward(net, x_cl)
-    _, R_pred_cl, tr_cl, _, _ = _sym_head_forward(raw_cl)
-    errs = [np.rad2deg(so3.d_ang(R_pred_cl, R_cl))]
-    traces = [tr_cl]
-    corrupted = [np.zeros(n_clean, dtype=bool)]
-    tr_co = np.array([])
+    # Reference, clean and corrupted blocks, drawn from rng in this order.
+    blocks = [(n_reference, "none"), (n_clean, "none")]
     if n_corrupt:
-        x_co, _, R_co = sample_batch(cfg, rng, n_corrupt, corruption=corruption)
-        raw_co, _ = forward(net, x_co)
-        _, R_pred_co, tr_co, _, _ = _sym_head_forward(raw_co)
-        errs.append(np.rad2deg(so3.d_ang(R_pred_co, R_co)))
-        traces.append(tr_co)
-        corrupted.append(np.ones(n_corrupt, dtype=bool))
-    traces = np.concatenate(traces)
-    kept = traces <= threshold if q < 1.0 else np.ones(n_mix, dtype=bool)
-    return DTReport(q=q, corruption=corruption, threshold=threshold,
-                    traces=traces, errors_deg=np.concatenate(errs), kept=kept,
-                    corrupted=np.concatenate(corrupted),
-                    mean_trace_clean=float(np.mean(tr_cl)),
-                    mean_trace_corrupted=float(np.mean(tr_co)) if n_corrupt else float("nan"))
+        blocks.append((n_corrupt, corruption))
+    traces, rotations = [], []
+    for n, kind in blocks:
+        x, _, R_gt = sample_batch(cfg, rng, n, corruption=kind)
+        raw, _ = forward(net, x)
+        _, R, trace, _, _ = _sym_head_forward(raw)
+        traces.append(trace)
+        rotations.append((R, R_gt))
+    threshold = dt_fit(traces[0], min(q, 1.0))
+    mix = np.concatenate(traces[1:])
+    kept = mix <= threshold if q < 1.0 else np.ones(n_mix, dtype=bool)
+    return DTReport(q=q, corruption=corruption, threshold=threshold, traces=mix,
+                    errors_deg=np.concatenate([np.rad2deg(so3.d_ang(*r)) for r in rotations[1:]]),
+                    kept=kept, corrupted=np.arange(n_mix) >= n_clean,
+                    mean_trace_clean=float(np.mean(traces[1])),
+                    mean_trace_corrupted=float(np.mean(traces[2])) if n_corrupt else float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,25 @@ def d_ang(R, R_gt):
     return np.arctan2(s, c)
 
 
+def sixd_to_rot_masked(s, eps=1e-9):
+    """Batched Gram-Schmidt of (..., 6) inputs: (R, valid), never raises.
+
+    Columns of R are (b1, b2, b1 x b2) with b1 = a1/||a1|| and b2 the unit
+    part of a2 orthogonal to b1. valid is False where ||a1|| < eps or that
+    orthogonal part has norm < eps; R is the identity there.
+    """
+    s = _as_farray(s, "sixd", (6,))
+    a1, a2 = s[..., :3], s[..., 3:]
+    n1 = np.linalg.norm(a1, axis=-1)
+    b1 = a1 / np.where(n1 >= eps, n1, 1.0)[..., None]
+    u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
+    n2 = np.linalg.norm(u2, axis=-1)
+    valid = (n1 >= eps) & (n2 >= eps)
+    b2 = u2 / np.where(n2 >= eps, n2, 1.0)[..., None]
+    R = np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
+    return np.where(valid[..., None, None], R, np.eye(3)), valid
+
+
 def sixd_to_rot(s, eps=1e-9):
     """Two stacked 3-vectors (a1, a2) -> rotation via Gram-Schmidt.
 
@@ -256,18 +275,12 @@ def sixd_to_rot(s, eps=1e-9):
     inputs. Raises ValueError when a1 is near zero or a2 near span(a1).
     """
     s = _as_farray(s, "sixd", (6,))
-    a1, a2 = s[..., :3], s[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1)
-    if np.any(n1 < eps):
+    if np.any(np.linalg.norm(s[..., :3], axis=-1) < eps):
         raise ValueError("degenerate 6D input: first vector is near zero")
-    b1 = a1 / n1[..., None]
-    u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
-    n2 = np.linalg.norm(u2, axis=-1)
-    if np.any(n2 < eps):
+    R, valid = sixd_to_rot_masked(s, eps)
+    if not np.all(valid):
         raise ValueError("degenerate 6D input: second vector is near span of the first")
-    b2 = u2 / n2[..., None]
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=-1)
+    return R
 
 
 def random_quats(n, rng):

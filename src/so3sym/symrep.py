@@ -47,6 +47,12 @@ class EigenDecomp4:
     def eigengap(self):
         return self.lambdas[..., 1] - self.lambdas[..., 0]
 
+    @property
+    def dispersion_trace(self):
+        """3*lambda1 - lambda2 - lambda3 - lambda4, the Bingham dispersion sum (<= 0)."""
+        lams = self.lambdas
+        return 3.0 * lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+
 
 def theta_to_A(theta):
     """10-vector -> symmetric 4x4 matrix (row-major upper-triangle fill)."""

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from so3sym import cli, so3, wahba
+from so3sym import averaging, bingham, cli, nn, so3, symrep, wahba
 from so3sym.wahba import SyntheticConfig
 
 from util import kabsch
@@ -52,7 +52,9 @@ def test_grad_check_deterministic_report(capsys):
     (["wahba", "--synthetic", "--n", "0"], "--n"),
     (["wahba", "--synthetic", "--sigma", "-1"], "--sigma"),
     (["wahba", "--synthetic", "--phi-max-deg", "0"], "--phi-max-deg"),
-], ids=["count-0", "count-neg", "n-0", "sigma-neg", "phi-max-0"])
+    (["dt-eval", "model.npz", "--q", "0"], "--q"),
+    (["dt-eval", "model.npz", "--mix", "0"], "--mix"),
+], ids=["count-0", "count-neg", "n-0", "sigma-neg", "phi-max-0", "q-0", "mix-0"])
 def test_out_of_range_flag_exits_2(capsys, argv, flag):
     try:
         code = cli.main(argv)
@@ -110,6 +112,23 @@ def test_wahba_degenerate_single_pair(tmp_path, capsys):
     assert "degenerate" in err
 
 
+def test_wahba_decomposes_once(monkeypatch, capsys):
+    calls = []
+    original = symrep.symeig4
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return original(A)
+
+    # Rebind every module-level name that holds the solver, not just symrep's.
+    for mod in (symrep, bingham, wahba, averaging, nn, cli):
+        if getattr(mod, "symeig4", None) is original:
+            monkeypatch.setattr(mod, "symeig4", counted)
+    assert cli.main(["wahba", "--synthetic"]) == 0
+    assert "dispersion_trace: " in capsys.readouterr().out
+    assert calls == [(4, 4)]
+
+
 def test_wahba_requires_one_source(tmp_path, capsys):
     code, _, err = run(capsys, "wahba")
     assert code == 2
@@ -163,6 +182,14 @@ def test_train_rerun_identical(tmp_path, capsys):
     assert (d1 / "learning_curves.svg").read_bytes() == (d2 / "learning_curves.svg").read_bytes()
 
 
+@pytest.mark.parametrize("key, value", [("trials", 0), ("lr", -1), ("batch_rotations", 0)])
+def test_train_out_of_range_config_exits_2(tmp_path, capsys, key, value):
+    code, _, err = run(capsys, "--out", tmp_path / "out", "train", write_cfg(tmp_path, **{key: value}))
+    assert code == 2
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_invalid_config(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"head": "hexarot"}))
@@ -211,6 +238,15 @@ def test_dt_eval_noise_improves_kept_error(trained_model, capsys):
     assert float(vals["mean_error_kept_deg"]) <= float(vals["mean_error_full_deg"])
     rows_path = trained_model / "dt_rows.csv"
     assert rows_path.read_text().startswith("# so3sym-dt v1\n")
+
+
+def test_dt_eval_out_of_range_saved_config_exits_2(tmp_path, capsys):
+    net = nn.init_net(60, (8,), 10, np.random.default_rng(0))
+    cfg = dict(nn.TrainConfig().__dict__, lr=-1.0)
+    nn.save_model(tmp_path / "m.npz", net, "A", cfg)
+    code, _, err = run(capsys, "--out", tmp_path, "dt-eval", tmp_path / "m.npz")
+    assert code == 2
+    assert "lr must be" in err
 
 
 def test_dt_eval_refuses_non_sym_model(trained_model, capsys):

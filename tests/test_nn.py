@@ -308,6 +308,18 @@ def small_cfg(**over):
     return nn.TrainConfig(**base)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("trials", 0), ("batch_rotations", 0), ("matches_per_rotation", 0), ("test_rotations", 0),
+    ("batches_per_epoch", 0), ("epochs", -1), ("hidden_widths", (64, 0)), ("lr", -1e-3),
+    ("lr", float("nan")), ("lr", float("inf")), ("lr_range", (1e-3, 1e-4)),
+    ("lr_range", (0.0, 1e-3)), ("lr_range", (1e-3,)), ("phi_max_deg", 0.0),
+    ("phi_max_deg", 180.5), ("sigma", -0.01), ("loss", "l2"), ("head", "hexarot"),
+])
+def test_train_config_range_checked(key, value):
+    with pytest.raises(ValueError, match=key):
+        small_cfg(**{key: value})
+
+
 def test_train_lr_zero_is_flat():
     res = nn.train_single(small_cfg(lr=0.0, epochs=4), "A")
     test_rows = [r for r in res.rows if r.split == "test"]

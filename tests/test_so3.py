@@ -187,6 +187,17 @@ def test_sixd_degenerate():
         so3.sixd_to_rot([1, 0, 0, 2, 0, 0])
 
 
+def test_sixd_to_rot_masked_matches_and_masks():
+    rng = np.random.default_rng(15)
+    s = rng.standard_normal((50, 6))
+    s[3] = [0, 0, 0, 0, 1, 0]
+    s[7] = [1, 0, 0, 2, 0, 0]
+    R, valid = so3.sixd_to_rot_masked(s)
+    assert valid.sum() == 48 and not valid[3] and not valid[7]
+    assert np.array_equal(R[~valid], np.broadcast_to(np.eye(3), (2, 3, 3)))
+    assert np.array_equal(R[valid], so3.sixd_to_rot(s[valid]))
+
+
 def test_canonicalize_quat_rules():
     assert np.allclose(so3.canonicalize_quat([0, 0, 0, -1]), [0, 0, 0, 1])
     assert np.allclose(so3.canonicalize_quat([-1, 0, 0, 0]), [1, 0, 0, 0])
