@@ -21,7 +21,8 @@ import numpy as np
 from . import nn, svgplot
 from .averaging import chordal_mean, quat_mean
 from .so3 import canonicalize_quat, d_ang, d_chord, d_quat, quat_to_rot
-from .symrep import A_to_theta, DegenerateEigenspace, qcqp_forward, qcqp_jacobian_theta, theta_to_A
+from .symrep import (A_to_theta, DegenerateEigenspace, EigenDecomp4, qcqp_forward,
+                     qcqp_jacobian_theta, theta_to_A)
 from .wahba import (
     CorrespondenceParseError,
     SyntheticConfig,
@@ -55,15 +56,17 @@ def run_grad_check(count=1000, seed=0, tolerance=1e-5, step=1e-5,
     check must then fail (negative control). Returns a report dict.
     """
     rng = rng_for(seed, 101)
-    mats = []
-    while len(mats) < count:
+    # Keep the filter's readout and decomposition of every kept matrix: symeig4
+    # is per-matrix deterministic, so they equal a fresh decomposition of A.
+    parts = []
+    while sum(len(p[0]) for p in parts) < count:
         batch = rng.standard_normal((max(64, count), 4, 4))
         batch = 0.5 * (batch + np.swapaxes(batch, -1, -2))
-        _, _, keep = qcqp_forward(batch, gap_tol=min_rel_gap)
-        mats.extend(batch[keep])
-    A = np.array(mats[:count])
+        q, dec, keep = qcqp_forward(batch, gap_tol=min_rel_gap)
+        parts.append((batch[keep], q[keep], dec.lambdas[keep], dec.vectors[keep]))
+    A, q0, lam0, vec0 = (np.concatenate(col)[:count] for col in zip(*parts))
+    dec0 = EigenDecomp4(lam0, vec0)
 
-    q0, dec0, _ = qcqp_forward(A)
     J = qcqp_jacobian_theta(A, dec0)
     if self_test:
         J = -J

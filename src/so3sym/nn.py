@@ -18,6 +18,7 @@ raise instead. Everything is plain numpy and deterministic for a fixed
 seed.
 """
 
+import functools
 import json
 from dataclasses import dataclass, asdict
 
@@ -90,15 +91,7 @@ def _act(z, kind):
     if kind == "linear":
         return z
     if kind == "leaky_relu":
-        return np.where(z > 0, z, LEAKY_SLOPE * z)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _act_grad(z, kind):
-    if kind == "linear":
-        return np.ones_like(z)
-    if kind == "leaky_relu":
-        return np.where(z > 0, 1.0, LEAKY_SLOPE)
+        return np.maximum(z, LEAKY_SLOPE * z)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -114,7 +107,8 @@ def forward(net, x):
         raise ValueError(f"input dim {a.shape[1]} != net input dim {net.in_dim}")
     cache = []
     for W, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ W.T + b
+        z = a @ W.T
+        z += b
         cache.append((a, z, act))
         a = _act(z, act)
     return (a[0] if single else a), cache
@@ -128,7 +122,8 @@ def backward(net, cache, grad_raw):
     grads = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, -1, -1):
         a_prev, z, act = cache[l]
-        g = g * _act_grad(z, act)
+        if act == "leaky_relu":
+            g = np.where(z > 0, g, LEAKY_SLOPE * g)
         grads[l] = (g.T @ a_prev, g.sum(axis=0))
         g = g @ net.weights[l]
     return grads
@@ -147,20 +142,24 @@ class HeadOutput:
     trace: float = None
 
 
-def _rot_jacobian_tensor(q):
-    """d quat_to_rot / d q as (..., 3, 3, 4), ambient polynomial derivative."""
-    x, y, z, w = (q[..., i] for i in range(4))
-    o = np.zeros_like(x)
-    dx = [[o, 2 * y, 2 * z], [2 * y, -4 * x, -2 * w], [2 * z, 2 * w, -4 * x]]
-    dy = [[-4 * y, 2 * x, 2 * w], [2 * x, o, 2 * z], [-2 * w, 2 * z, -4 * y]]
-    dz = [[-4 * z, -2 * w, 2 * x], [2 * w, -4 * z, 2 * y], [2 * x, 2 * y, o]]
-    dw = [[o, -2 * z, 2 * y], [2 * z, o, -2 * x], [-2 * y, 2 * x, o]]
-    parts = [np.stack([np.stack(r, axis=-1) for r in d], axis=-2) for d in (dx, dy, dz, dw)]
-    return np.stack(parts, axis=-1)
-
-
 def _grad_R_to_grad_q(q, grad_R):
-    return np.einsum("...ijk,...ij->...k", _rot_jacobian_tensor(q), grad_R)
+    """Pull a gradient wrt quat_to_rot(q) back to q (ambient polynomial derivative).
+
+    For q = (v, w), quat_to_rot is (1 - 2|v|^2) I + 2 v v^T + 2 w [v]x. With
+    G = grad_R, S = G + G^T and d = vee(G - G^T), the pullback is
+    grad_v = 2 S v - 4 tr(G) v + 2 w d and grad_w = 2 v . d.
+    """
+    x, y, z, w = (q[..., i] for i in range(4))
+    g = grad_R
+    s01, s02, s12 = g[..., 0, 1] + g[..., 1, 0], g[..., 0, 2] + g[..., 2, 0], g[..., 1, 2] + g[..., 2, 1]
+    d0, d1, d2 = g[..., 2, 1] - g[..., 1, 2], g[..., 0, 2] - g[..., 2, 0], g[..., 1, 0] - g[..., 0, 1]
+    g00, g11, g22 = g[..., 0, 0], g[..., 1, 1], g[..., 2, 2]
+    out = np.empty(q.shape)
+    out[..., 0] = 2.0 * (y * s01 + z * s02 + w * d0) - 4.0 * x * (g11 + g22)
+    out[..., 1] = 2.0 * (x * s01 + z * s12 + w * d1) - 4.0 * y * (g00 + g22)
+    out[..., 2] = 2.0 * (x * s02 + y * s12 + w * d2) - 4.0 * z * (g00 + g11)
+    out[..., 3] = 2.0 * (x * d0 + y * d1 + z * d2)
+    return out
 
 
 def _quat_head_forward(raw, eps=1e-9):
@@ -262,6 +261,8 @@ def _batch1(x):
 
 def head_forward(head, raw, gap_tol=DEFAULT_GAP_TOL):
     """Single-sample head evaluation; raises on degenerate inputs."""
+    if head not in HEAD_DIMS:
+        raise ValueError(f"unknown head {head!r}")
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (HEAD_DIMS[head],):
         raise ValueError(f"head {head!r} expects a {HEAD_DIMS[head]}-vector, got {raw.shape}")
@@ -499,6 +500,14 @@ def reference_vectors(m):
     return np.stack([r * np.cos(golden * i), r * np.sin(golden * i), z], axis=-1)
 
 
+@functools.lru_cache(maxsize=None)
+def _fixed_reference_vectors(m):
+    """reference_vectors(m), computed once per m and shared read-only."""
+    u = reference_vectors(m)
+    u.flags.writeable = False
+    return u
+
+
 def sample_batch(cfg, rng, n_rotations, corruption="none"):
     """(x, q_gt, R_gt): flattened pairs, quaternion and matrix targets.
 
@@ -516,7 +525,11 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
     a /= np.linalg.norm(a, axis=-1, keepdims=True)
     phi = rng.uniform(0.0, np.deg2rad(cfg.phi_max_deg), n)
     R_gt = so3.exp_map(phi[:, None] * a)
-    u = np.broadcast_to(reference_vectors(m), (n, m, 3)).copy()
+    # The quaternion of the sampled rotation (phi about a); rot_to_quat(R_gt) up to rounding.
+    q_gt = np.empty((n, 4))
+    q_gt[:, :3] = np.sin(0.5 * phi)[:, None] * a
+    q_gt[:, 3] = np.cos(0.5 * phi)
+    u = np.broadcast_to(_fixed_reference_vectors(m), (n, m, 3))
     v = np.einsum("nij,nmj->nmi", R_gt, u)
     sigma = cfg.sigma * (100.0 if corruption == "noise" else 1.0)
     if sigma > 0:
@@ -529,7 +542,7 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
         u = np.where(blank[..., None], 0.0, u)
         v = np.where(blank[..., None], 0.0, v)
     x = np.concatenate([u, v], axis=-1).reshape(n, 6 * m)
-    return x, so3.rot_to_quat(R_gt), R_gt
+    return x, so3.canonicalize_quat(q_gt), R_gt
 
 
 def _angular_errors_deg(R, R_gt, valid):

@@ -100,12 +100,17 @@ def quat_to_rot(q):
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    rows = [
-        [1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)],
-        [2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)],
-        [2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    R = np.empty(q.shape[:-1] + (3, 3))
+    R[..., 0, 0] = 1 - 2 * (yy + zz)
+    R[..., 0, 1] = 2 * (xy - wz)
+    R[..., 0, 2] = 2 * (xz + wy)
+    R[..., 1, 0] = 2 * (xy + wz)
+    R[..., 1, 1] = 1 - 2 * (xx + zz)
+    R[..., 1, 2] = 2 * (yz - wx)
+    R[..., 2, 0] = 2 * (xz - wy)
+    R[..., 2, 1] = 2 * (yz + wx)
+    R[..., 2, 2] = 1 - 2 * (xx + yy)
+    return R
 
 
 def rot_to_quat(R):

@@ -129,6 +129,23 @@ def test_wahba_decomposes_once(monkeypatch, capsys):
     assert calls == [(4, 4)]
 
 
+def test_grad_check_decomposes_each_matrix_once(monkeypatch):
+    calls = []
+    original = symrep.symeig4
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return original(A)
+
+    monkeypatch.setattr(symrep, "symeig4", counted)
+    report = cli.run_grad_check(count=50, seed=3)
+    assert report["passed"]
+    # The sampling filter decomposes 64-matrix batches; the base matrices are
+    # not decomposed again, so only the 20 finite-difference probes remain.
+    assert set(calls[:-20]) == {(64, 4, 4)}
+    assert calls[-20:] == [(50, 4, 4)] * 20
+
+
 def test_wahba_requires_one_source(tmp_path, capsys):
     code, _, err = run(capsys, "wahba")
     assert code == 2

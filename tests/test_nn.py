@@ -471,3 +471,82 @@ def test_dt_evaluate_clean_calibration():
     trial = nn.train_single(cfg, "A")
     rep = nn.dt_evaluate(trial.net, cfg, 0.75, "none", np.random.default_rng(9), n_mix=400)
     assert abs(rep.kept_fraction - 0.75) < 0.08
+
+
+# -- hot-path kernels against their reference forms -----------------------------
+
+
+def _rot_jacobian_tensor_reference(q):
+    """d quat_to_rot / d q as (..., 3, 3, 4), written out entry by entry."""
+    x, y, z, w = (q[..., i] for i in range(4))
+    o = np.zeros_like(x)
+    dx = [[o, 2 * y, 2 * z], [2 * y, -4 * x, -2 * w], [2 * z, 2 * w, -4 * x]]
+    dy = [[-4 * y, 2 * x, 2 * w], [2 * x, o, 2 * z], [-2 * w, 2 * z, -4 * y]]
+    dz = [[-4 * z, -2 * w, 2 * x], [2 * w, -4 * z, 2 * y], [2 * x, 2 * y, o]]
+    dw = [[o, -2 * z, 2 * y], [2 * z, o, -2 * x], [-2 * y, 2 * x, o]]
+    parts = [np.stack([np.stack(r, axis=-1) for r in d], axis=-2) for d in (dx, dy, dz, dw)]
+    return np.stack(parts, axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(), (40,), (3, 5)])
+def test_grad_R_to_grad_q_matches_tensor_oracle_and_fd(shape):
+    rng = np.random.default_rng(31)
+    q = rng.standard_normal(shape + (4,))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    G = rng.standard_normal(shape + (3, 3))
+    got = nn._grad_R_to_grad_q(q, G)
+    oracle = np.einsum("...ijk,...ij->...k", _rot_jacobian_tensor_reference(q), G)
+    assert got.shape == shape + (4,)
+    assert np.abs(got - oracle).max() <= 1e-14 * max(1.0, np.abs(oracle).max())
+    h = 1e-6
+    fd = np.zeros_like(got)
+    for k in range(4):
+        e = np.zeros(4)
+        e[k] = h
+        dR = (so3.quat_to_rot(q + e) - so3.quat_to_rot(q - e)) / (2 * h)
+        fd[..., k] = np.sum(dR * G, axis=(-2, -1))
+    assert np.abs(got - fd).max() <= 1e-8
+
+
+@pytest.mark.parametrize("phi_max_deg", [180.0, 90.0, 5.0])
+@pytest.mark.parametrize("corruption", nn.CORRUPTIONS)
+def test_sample_batch_q_gt_matches_rot_to_quat(phi_max_deg, corruption):
+    cfg = nn.TrainConfig(phi_max_deg=phi_max_deg)
+    _, q_gt, R_gt = nn.sample_batch(cfg, np.random.default_rng(32), 500, corruption=corruption)
+    assert np.abs(q_gt - so3.rot_to_quat(R_gt)).max() <= 1e-12
+
+
+def test_sample_batch_leaves_reference_vectors_intact():
+    cfg = nn.TrainConfig(matches_per_rotation=7)
+    x, _, _ = nn.sample_batch(cfg, np.random.default_rng(33), 4, corruption="zero")
+    u = nn.reference_vectors(7)
+    u[:] = 0.0  # the public function hands out a fresh, writable array
+    x2, _, _ = nn.sample_batch(cfg, np.random.default_rng(33), 4, corruption="zero")
+    assert np.array_equal(x, x2)
+    x3, _, _ = nn.sample_batch(cfg, np.random.default_rng(34), 4)
+    assert np.array_equal(x3.reshape(4, 7, 6)[..., :3], np.broadcast_to(nn.reference_vectors(7), (4, 7, 3)))
+
+
+def test_leaky_relu_matches_where_reference():
+    z = np.array([[2.5, -3.0, 0.0, -0.0, 1e-300, -1e-300, 7.0, -0.25]])
+    ref = np.where(z > 0, z, nn.LEAKY_SLOPE * z)
+    got = nn._act(z, "leaky_relu")
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    rng = np.random.default_rng(35)
+    net = nn.init_net(3, (), z.shape[1], rng)
+    net.activations = ["leaky_relu"]
+    a_prev = rng.standard_normal((1, 3))
+    g = rng.standard_normal(z.shape)
+    (dW, db), = nn.backward(net, [(a_prev, z, "leaky_relu")], g)
+    g_ref = g * np.where(z > 0, 1.0, nn.LEAKY_SLOPE)
+    assert np.array_equal(dW, g_ref.T @ a_prev)
+    assert np.array_equal(db, g_ref.sum(axis=0))
+
+
+def test_unknown_head_raises_value_error():
+    with pytest.raises(ValueError, match="unknown head 'foo'"):
+        nn.head_forward("foo", [1.0])
+    with pytest.raises(ValueError, match="unknown head 'foo'"):
+        nn.head_backward("foo", [1.0], grad_q=[1.0])

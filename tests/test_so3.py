@@ -208,3 +208,21 @@ def test_canonicalize_quat_rules():
 def test_normalize_quat_rejects_zero():
     with pytest.raises(ValueError):
         so3.normalize_quat([0, 0, 0, 0])
+
+
+def _quat_to_rot_reference(q):
+    x, y, z, w = (q[..., i] for i in range(4))
+    rows = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
+@pytest.mark.parametrize("shape", [(), (9,), (2, 3)])
+def test_quat_to_rot_matches_stacked_reference(shape):
+    q = np.random.default_rng(16).standard_normal(shape + (4,))  # unit norm not required
+    R = so3.quat_to_rot(q)
+    assert R.shape == shape + (3, 3)
+    assert np.array_equal(R, _quat_to_rot_reference(q))
