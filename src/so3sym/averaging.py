@@ -24,14 +24,14 @@ def inertia_matrix(quats, weights=None):
     """Positive semi-definite sum_i w_i q_i q_i^T; weights default to 1."""
     q = _as_quats(quats)
     if weights is None:
-        w = np.ones(len(q))
+        M = q.T @ q
     else:
         w = np.asarray(weights, dtype=float).ravel()
         if len(w) != len(q):
             raise ValueError(f"length mismatch: {len(q)} quaternions, {len(w)} weights")
         if np.any(w < 0):
             raise ValueError("weights must be >= 0")
-    M = np.einsum("n,ni,nj->ij", w, q, q)
+        M = (w[:, None] * q).T @ q
     return 0.5 * (M + M.T)
 
 

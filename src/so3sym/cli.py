@@ -27,6 +27,7 @@ from .wahba import (
     CorrespondenceParseError,
     SyntheticConfig,
     build_data_matrix,
+    parse_csv_floats,
     read_correspondences_csv,
     rng_for,
     sample_synthetic,
@@ -254,32 +255,23 @@ def read_quaternions_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = None
-        has_weight = False
         for lineno, row in enumerate(reader, start=1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
             if header is None:
                 header = [f.strip() for f in row]
-                if header == ["x", "y", "z", "w"]:
-                    has_weight = False
-                elif header == ["x", "y", "z", "w", "weight"]:
-                    has_weight = True
-                else:
+                if header not in (["x", "y", "z", "w"], ["x", "y", "z", "w", "weight"]):
                     raise CorrespondenceParseError(
                         lineno, f"expected header x,y,z,w[,weight], got {','.join(header)}")
                 continue
-            expected = 5 if has_weight else 4
-            if len(row) != expected:
-                raise CorrespondenceParseError(lineno, f"expected {expected} columns, got {len(row)}")
-            try:
-                vals = [float(f) for f in row]
-            except ValueError as exc:
-                raise CorrespondenceParseError(lineno, str(exc)) from None
+            vals = parse_csv_floats(lineno, row, header)
             n = float(np.linalg.norm(vals[:4]))
             if abs(n - 1.0) > 1e-6:
                 raise CorrespondenceParseError(lineno, f"quaternion norm {n:.6g} is not 1")
             quats.append(vals[:4])
-            if has_weight:
+            if len(vals) == 5:
+                if vals[4] < 0:
+                    raise CorrespondenceParseError(lineno, f"weight must be >= 0, got {vals[4]}")
                 weights.append(vals[4])
         if header is None:
             raise CorrespondenceParseError(1, "missing header row")

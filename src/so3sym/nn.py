@@ -213,13 +213,16 @@ def _sym_head_forward(raw, gap_tol=DEFAULT_GAP_TOL):
 
 
 def _batch_head(head, raw, gap_tol=DEFAULT_GAP_TOL):
-    """Batched head forward: (q, R, trace-or-None, aux, valid)."""
+    """Batched head forward: (q, R, trace-or-None, aux, valid).
+
+    q is None for the 6d head: no loss or backward pass it runs reads it.
+    """
     if head == "quat":
         q, R, valid = _quat_head_forward(raw)
         return q, R, None, None, valid
     if head == "6d":
         R, valid = so3.sixd_to_rot_masked(raw)
-        return so3.rot_to_quat(R), R, None, None, valid
+        return None, R, None, None, valid
     if head == "A":
         return _sym_head_forward(raw, gap_tol)
     raise ValueError(f"unknown head {head!r}")
@@ -267,6 +270,8 @@ def head_forward(head, raw, gap_tol=DEFAULT_GAP_TOL):
     if raw.shape != (HEAD_DIMS[head],):
         raise ValueError(f"head {head!r} expects a {HEAD_DIMS[head]}-vector, got {raw.shape}")
     q, R, trace, _ = _single_head(head, raw[None], gap_tol)
+    if q is None:
+        q = so3.rot_to_quat(R)
     return HeadOutput(R=R[0], q=q[0], trace=None if trace is None else float(trace[0]))
 
 

@@ -36,12 +36,15 @@ def normalize_quat(q, eps=1e-9):
 def canonicalize_quat(q):
     """Flip sign so w >= 0; if w == 0, first nonzero of (x, y, z) positive."""
     q = _as_farray(q, "quaternion", (4,))
-    x, y, z, w = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    sign = np.select(
-        [w != 0.0, x != 0.0, y != 0.0, z != 0.0],
-        [np.sign(w), np.sign(x), np.sign(y), np.sign(z)],
-        default=1.0,
-    )
+    sign = np.sign(q[..., 3])
+    # Fall back to x, y, then z where the sign is still 0 (NaN stays NaN).
+    for i in range(3):
+        zero = sign == 0.0
+        if not zero.any():
+            break
+        sign = np.where(zero, np.sign(q[..., i]), sign)
+    else:
+        sign = np.where(sign == 0.0, 1.0, sign)
     return q * sign[..., None]
 
 

@@ -9,9 +9,21 @@ sum_i ||v_i - R u_i||^2 / sigma_i^2 is the minimum eigenvector of the
 where hats homogenize 3-vectors into pure quaternions and Ml/Mr are the
 left/right quaternion product matrices. For unit q, q^T A q equals the
 residual sum exactly, so the QCQP layer solves the problem in closed form.
+
+Ml(v_hat) Mr(u_hat) is bilinear in (v, u), so the sum only needs the 3x3
+weighted profile matrix B = sum_i w_i v_i u_i^T and the scalar
+s = sum_i w_i (||u_i||^2 + ||v_i||^2), with w_i = 1/sigma_i^2:
+
+    A = s I + 2 sum_ab B_ab Ml(e_a_hat) Mr(e_b_hat),
+
+a fixed linear map of B. This is s I - 2 K with K Davenport's q-method
+matrix of B (Davenport 1968; Markley & Mortari 2000), read in the active
+rotation convention used here. Building A is O(N) vector work plus one
+(9,) @ (9, 16) product.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +47,8 @@ class Correspondences:
         if not (len(u) == len(v) == len(sigma)):
             raise ValueError(
                 f"length mismatch: u {len(u)}, v {len(v)}, sigma {len(sigma)}")
+        if not all(np.isfinite(a).all() for a in (u, v, sigma)):
+            raise ValueError("u, v and sigma must be finite")
         if np.any(sigma <= 0):
             raise ValueError("all sigma must be > 0")
         object.__setattr__(self, "u", u)
@@ -78,20 +92,20 @@ def rng_for(seed, *path):
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(p) for p in path)))
 
 
-def _homogenize(p):
-    return np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)
+# Row 3a+b is Ml(e_a_hat) @ Mr(e_b_hat), flattened: A's bilinear part is B.ravel() @ this.
+_PROFILE_TO_A = (quat_left_matrix(np.eye(3, 4))[:, None]
+                 @ quat_right_matrix(np.eye(3, 4))[None, :]).reshape(9, 16)
 
 
 def build_data_matrix(c):
     """Assemble the symmetric 4x4 Wahba data matrix; empty input gives zeros."""
     if len(c) == 0:
         return np.zeros((4, 4))
-    uh = _homogenize(c.u)
-    vh = _homogenize(c.v)
-    norms = np.sum(c.u * c.u, axis=-1) + np.sum(c.v * c.v, axis=-1)
-    w = 1.0 / (c.sigma * c.sigma)
-    terms = norms[:, None, None] * np.eye(4) + 2.0 * quat_left_matrix(vh) @ quat_right_matrix(uh)
-    A = np.sum(w[:, None, None] * terms, axis=0)
+    w = 1.0 / (c.sigma * c.sigma)[:, None]
+    wu, wv = w * c.u, w * c.v
+    B = wv.T @ c.u
+    s = np.vdot(wu, c.u) + np.vdot(wv, c.v)
+    A = s * np.eye(4) + 2.0 * (B.reshape(9) @ _PROFILE_TO_A).reshape(4, 4)
     return 0.5 * (A + A.T)
 
 
@@ -148,6 +162,20 @@ class CorrespondenceParseError(ValueError):
         self.line = line
 
 
+def parse_csv_floats(lineno, row, fields):
+    """One CSV data row as finite floats, one per named field."""
+    if len(row) != len(fields):
+        raise CorrespondenceParseError(lineno, f"expected {len(fields)} columns, got {len(row)}")
+    try:
+        vals = [float(f) for f in row]
+    except ValueError as exc:
+        raise CorrespondenceParseError(lineno, str(exc)) from None
+    if not all(map(math.isfinite, vals)):
+        name, val = next((n, x) for n, x in zip(fields, vals) if not math.isfinite(x))
+        raise CorrespondenceParseError(lineno, f"{name} must be finite, got {val}")
+    return vals
+
+
 def read_correspondences_csv(path):
     """Parse a correspondence CSV (header ux,uy,uz,vx,vy,vz,sigma)."""
     rows = []
@@ -163,12 +191,7 @@ def read_correspondences_csv(path):
                     raise CorrespondenceParseError(
                         lineno, f"expected header {','.join(CSV_FIELDS)}, got {','.join(header)}")
                 continue
-            if len(row) != 7:
-                raise CorrespondenceParseError(lineno, f"expected 7 columns, got {len(row)}")
-            try:
-                vals = [float(f) for f in row]
-            except ValueError as exc:
-                raise CorrespondenceParseError(lineno, str(exc)) from None
+            vals = parse_csv_floats(lineno, row, CSV_FIELDS)
             if vals[6] <= 0:
                 raise CorrespondenceParseError(lineno, f"sigma must be > 0, got {vals[6]}")
             rows.append(vals)

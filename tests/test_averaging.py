@@ -22,6 +22,18 @@ def test_inertia_psd_and_trace():
     assert np.isclose(np.trace(M), w.sum())
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_inertia_matches_einsum_reference(weighted):
+    rng = np.random.default_rng(19)
+    q = so3.random_quats(1000, rng)
+    w = rng.uniform(0, 2, 1000) if weighted else None
+    ref = np.einsum("n,ni,nj->ij", np.ones(1000) if w is None else w, q, q)
+    ref = 0.5 * (ref + ref.T)
+    M = averaging.inertia_matrix(q, w)
+    assert np.abs(M - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(M, M.T)
+
+
 def test_inertia_length_mismatch():
     rng = np.random.default_rng(2)
     q = so3.random_quats(3, rng)

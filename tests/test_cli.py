@@ -64,6 +64,27 @@ def test_out_of_range_flag_exits_2(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+_PAIRS = "ux,uy,uz,vx,vy,vz,sigma\n1,0,0,1,0,0,1\n"
+_QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"
+
+
+@pytest.mark.parametrize("cmd, text, message", [
+    ("wahba", _PAIRS + "0,1,0,0,1,0,nan\n", "sigma must be finite"),
+    ("wahba", _PAIRS + "0,1,0,0,1,0,inf\n", "sigma must be finite"),
+    ("wahba", _PAIRS + "0,nan,0,0,1,0,1\n", "uy must be finite"),
+    ("avg", "x,y,z,w\n0,0,0,1\nnan,0,0,1\n", "x must be finite"),
+    ("avg", _QUATS + "0,0,0,1,nan\n", "weight must be finite"),
+    ("avg", _QUATS + "0,0,0,1,inf\n", "weight must be finite"),
+    ("avg", _QUATS + "0,0,0,1,-1\n", "weight must be >= 0"),
+], ids=["sigma-nan", "sigma-inf", "coord-nan", "quat-nan", "weight-nan", "weight-inf", "weight-neg"])
+def test_bad_csv_value_exits_2(tmp_path, capsys, cmd, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    code, _, err = run(capsys, cmd, path)
+    assert code == 2
+    assert f"line 3: {message}" in err
+
+
 # -- wahba --------------------------------------------------------------------
 
 

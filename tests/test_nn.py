@@ -550,3 +550,20 @@ def test_unknown_head_raises_value_error():
         nn.head_forward("foo", [1.0])
     with pytest.raises(ValueError, match="unknown head 'foo'"):
         nn.head_backward("foo", [1.0], grad_q=[1.0])
+
+
+def test_sixd_training_skips_rot_to_quat(monkeypatch):
+    calls = []
+    original = so3.rot_to_quat
+
+    def counted(R):
+        calls.append(np.shape(R))
+        return original(R)
+
+    monkeypatch.setattr(so3, "rot_to_quat", counted)
+    nn.train_single(small_cfg(head="6d", epochs=2), "6d")
+    assert calls == []
+    # The single-sample wrapper still reports q, bitwise as the batched Shepperd readout.
+    out = nn.head_forward("6d", [1.0, 0.2, -0.3, 0.1, 1.0, 0.4])
+    assert calls == [(1, 3, 3)]
+    assert np.array_equal(out.q, original(out.R[None])[0])

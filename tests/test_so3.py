@@ -205,6 +205,33 @@ def test_canonicalize_quat_rules():
     assert np.allclose(so3.canonicalize_quat([0.5, 0, 0, 0.5]), [0.5, 0, 0, 0.5])
 
 
+def _canonicalize_select_reference(q):
+    q = np.asarray(q, dtype=float)
+    x, y, z, w = (q[..., i] for i in range(4))
+    sign = np.select([w != 0.0, x != 0.0, y != 0.0, z != 0.0],
+                     [np.sign(w), np.sign(x), np.sign(y), np.sign(z)], default=1.0)
+    return q * sign[..., None]
+
+
+def test_canonicalize_quat_matches_select_reference():
+    q = np.random.default_rng(18).standard_normal((40, 4))
+    q[::2, 3] = 0.0
+    q[1::4, 3] = -0.0
+    q[::3, 0] = -0.0
+    q[::5, 1] = 0.0
+    q[10] = [-0.0, 0.0, -2.0, -0.0]
+    q[11] = 0.0
+    q[12] = -0.0
+    q[13] = [np.nan, 1.0, 0.0, 0.0]
+    q[14] = [1.0, 0.0, 0.0, np.nan]
+    q[15] = np.nan
+    q[16] = [0.0, -0.0, np.nan, 0.0]
+    for arr in (q, q.reshape(5, 8, 4), q[10], q[11], q[12], q[13], q[16], q[:0]):
+        got, ref = so3.canonicalize_quat(arr), _canonicalize_select_reference(arr)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()  # sign bits and NaNs included
+
+
 def test_normalize_quat_rejects_zero():
     with pytest.raises(ValueError):
         so3.normalize_quat([0, 0, 0, 0])

@@ -19,6 +19,17 @@ def residual_reference(q, corr):
     return total
 
 
+def data_matrix_reference(corr):
+    """Per-pair weighted sum of (|u|^2 + |v|^2) I + 2 Ml(v_hat) Mr(u_hat), symmetrized."""
+    zero = np.zeros((len(corr), 1))
+    uh = np.concatenate([corr.u, zero], axis=1)
+    vh = np.concatenate([corr.v, zero], axis=1)
+    norms = np.sum(corr.u ** 2, axis=1) + np.sum(corr.v ** 2, axis=1)
+    terms = norms[:, None, None] * np.eye(4) + 2.0 * so3.quat_left_matrix(vh) @ so3.quat_right_matrix(uh)
+    A = np.sum(terms / corr.sigma[:, None, None] ** 2, axis=0)
+    return 0.5 * (A + A.T)
+
+
 def random_corr(rng, n=10):
     u = rng.standard_normal((n, 3))
     v = rng.standard_normal((n, 3))
@@ -54,6 +65,24 @@ def test_data_matrix_symmetric():
     rng = np.random.default_rng(2)
     A = wahba.build_data_matrix(random_corr(rng))
     assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_data_matrix_matches_per_pair_reference(n):
+    corr = random_corr(np.random.default_rng(40 + n), n)
+    A = wahba.build_data_matrix(corr)
+    ref = data_matrix_reference(corr)
+    assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["u", "v", "sigma"])
+def test_correspondences_reject_non_finite(field, bad):
+    data = dict(u=np.eye(3), v=np.eye(3), sigma=np.ones(3))
+    data[field].flat[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Correspondences(**data)
 
 
 def test_noiseless_recovery():
