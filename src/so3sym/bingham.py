@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symrep import DEFAULT_GAP_TOL, DegenerateEigenspace, qcqp_forward, symeig4
+from .symrep import (DEFAULT_GAP_TOL, DegenerateEigenspace, _dispersion_trace, _lapack_input,
+                     qcqp_forward)
 
 
 @dataclass(frozen=True)
@@ -42,17 +43,16 @@ def belief_from_A(A, gap_tol=DEFAULT_GAP_TOL):
 
     Requires a simple minimum eigenvalue of A so the mode is unique.
     """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (4, 4):
-        raise ValueError(f"belief_from_A expects a single (4, 4) matrix, got {A.shape}")
+    if np.shape(A) != (4, 4):
+        raise ValueError(f"belief_from_A expects a single (4, 4) matrix, got {np.shape(A)}")
     mode, dec, valid = qcqp_forward(A, gap_tol)
     if not valid:
         raise DegenerateEigenspace(
             f"mode is not unique (gap {float(dec.eigengap):.3e}, gap_tol {gap_tol:.1e})")
-    lams, V = dec.lambdas, dec.vectors
-    dispersions = np.array([lams[0] - lams[3], lams[0] - lams[2], lams[0] - lams[1]])
-    axes = np.stack([V[:, 3], V[:, 2], V[:, 1], mode], axis=-1)
-    return BinghamBelief(axes=axes, dispersions=dispersions)
+    lams = dec.lambdas
+    axes = dec.vectors[:, ::-1].copy()
+    axes[:, 3] = mode
+    return BinghamBelief(axes=axes, dispersions=lams[0] - lams[:0:-1])
 
 
 def log_density_unnorm(belief, x):
@@ -69,9 +69,11 @@ def dispersion_trace(A):
     """Uncertainty score 3*lambda1 - lambda2 - lambda3 - lambda4 (<= 0).
 
     Equals the sum of the belief's dispersion coefficients; invariant
-    under A -> A + c*I. Broadcasts over leading batch dimensions.
+    under A -> A + c*I. Broadcasts over leading batch dimensions. Needs
+    eigenvalues only, so it agrees with symeig4(A).dispersion_trace to
+    rounding, not bit for bit.
     """
-    return symeig4(A).dispersion_trace
+    return _dispersion_trace(np.linalg.eigvalsh(_lapack_input(A)))
 
 
 def dt_fit(train_traces, q):

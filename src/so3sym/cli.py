@@ -13,6 +13,7 @@ All randomness derives from --seed; runs are bit-deterministic.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -323,24 +324,40 @@ def _positive_int(text):
     return int(text)
 
 
+def _nonnegative_int(text):
+    """argparse type for --seed: an integer >= 0."""
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _positive_float(text):
-    """argparse type for --q: a number > 0 (argparse itself rejects non-numbers)."""
-    if not float(text) > 0:
-        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
-    return float(text)
+    """argparse type for a finite number > 0 (argparse itself rejects non-numbers)."""
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return x
+
+
+def _nonnegative_float(text):
+    """argparse type for a finite number >= 0 (argparse itself rejects non-numbers)."""
+    x = float(text)
+    if not (math.isfinite(x) and x >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return x
 
 
 def build_parser():
     p = argparse.ArgumentParser(
         prog="so3sym",
         description="Symmetric-matrix rotation representation: solver, training, and OOD tools")
-    p.add_argument("--seed", type=int, default=0, help="global RNG seed (default 0)")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="global RNG seed (default 0)")
     p.add_argument("--out", default=".", help="output directory for generated files")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("grad-check", help="finite-difference check of the QCQP layer Jacobian")
     g.add_argument("--count", type=_positive_int, default=1000, help="number of random matrices")
-    g.add_argument("--tolerance", type=float, default=1e-5, help="max relative error allowed")
+    g.add_argument("--tolerance", type=_positive_float, default=1e-5, help="max relative error allowed")
     g.add_argument("--self-test", action="store_true",
                    help="negative control: verify a corrupted Jacobian is rejected")
     g.set_defaults(func=cmd_grad_check)
@@ -350,8 +367,8 @@ def build_parser():
                    help="correspondence CSV (header ux,uy,uz,vx,vy,vz,sigma)")
     w.add_argument("--synthetic", action="store_true", help="generate a synthetic instance")
     w.add_argument("--n", type=_positive_int, default=100, help="synthetic pair count")
-    w.add_argument("--sigma", type=float, default=0.01, help="synthetic noise std-dev")
-    w.add_argument("--phi-max-deg", type=float, default=180.0, help="synthetic max angle")
+    w.add_argument("--sigma", type=_nonnegative_float, default=0.01, help="synthetic noise std-dev")
+    w.add_argument("--phi-max-deg", type=_positive_float, default=180.0, help="synthetic max angle")
     w.set_defaults(func=cmd_wahba)
 
     t = sub.add_parser("train", help="train rotation regressors per representation head")

@@ -14,6 +14,7 @@ gradients back to theta. The eigensolver is batched LAPACK `eigh` with a
 canonical eigenvector sign, so results are deterministic per matrix.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .so3 import canonicalize_quat
 # (row, col) of the upper triangle addressed by each theta entry, row-major.
 _THETA_POS = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 _ROWS, _COLS = np.array(_THETA_POS).T
+_COL = np.arange(4)
 
 DEFAULT_GAP_TOL = 1e-8
 
@@ -50,8 +52,11 @@ class EigenDecomp4:
     @property
     def dispersion_trace(self):
         """3*lambda1 - lambda2 - lambda3 - lambda4, the Bingham dispersion sum (<= 0)."""
-        lams = self.lambdas
-        return 3.0 * lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+        return _dispersion_trace(self.lambdas)
+
+
+def _dispersion_trace(lams):
+    return 3.0 * lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
 
 
 def theta_to_A(theta):
@@ -84,14 +89,44 @@ def theta_to_A_adjoint(grad_A):
 
 
 def _check_symmetric(A):
-    A = np.asarray(A, dtype=float)
-    if A.shape[-2:] != (4, 4):
-        raise ValueError(f"expected trailing shape (4, 4), got {A.shape}")
-    scale = np.maximum(np.abs(A).max(axis=(-2, -1)), 1.0)
+    """Symmetrize A if its skew is within 1e-12 of its scale; raise if asymmetric or non-finite."""
+    scale =np.maximum(np.abs(A).max(axis=(-2, -1)), 1.0)
     skew = np.abs(A - np.swapaxes(A, -1, -2)).max(axis=(-2, -1))
     if np.any(skew > 1e-12 * scale):
         raise ValueError("matrix is not symmetric")
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
+    S = 0.5 * (A + np.swapaxes(A, -1, -2))
+    if not np.all(np.isfinite(S)):
+        raise ValueError("matrix has non-finite entries")
+    return S
+
+
+def _lapack_input(A):
+    """The symmetric (..., 4, 4) array handed to LAPACK for A.
+
+    Exactly symmetric finite input is passed on as it is, without the
+    symmetrizing sum that overflows near the float limit. On a single
+    matrix this is decided by comparing Python scalars. Anything else goes
+    through _check_symmetric: near-symmetric input (skew within 1e-12 of
+    the scale) is symmetrized, the rest raises ValueError.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.shape == (4, 4):
+        r0, r1, r2, r3 = A.tolist()
+        lower = (r1[0], r2[0], r3[0], r2[1], r3[1], r3[2])
+        # A zero below the diagonal may differ in sign from its mirror, and
+        # eigh reads only the lower triangle: leave those to the array path.
+        if (lower == (r0[1], r0[2], r0[3], r1[2], r1[3], r2[3]) and 0.0 not in lower
+                and math.isfinite(r0[0] + r1[1] + r2[2] + r3[3] + sum(lower))):
+            return A
+    elif A.shape[-2:] != (4, 4):
+        raise ValueError(f"expected trailing shape (4, 4), got {A.shape}")
+    # d is all zeros exactly when A is symmetric and finite (inf - inf and NaN
+    # give NaN). A - d keeps A's values and gives each zero the sign that
+    # 0.5 * (A + A^T) would.
+    d = A - np.swapaxes(A, -1, -2)
+    if d.any():
+        return _check_symmetric(A)
+    return A - d
 
 
 def symeig4(A):
@@ -102,13 +137,13 @@ def symeig4(A):
     Eigenvector signs are canonical: each column's largest-magnitude
     entry is positive. Raises ValueError on asymmetric or non-finite input.
     """
-    A = _check_symmetric(A)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    lams, V = np.linalg.eigh(A)
-    idx = np.argmax(np.abs(V), axis=-2)
-    picked = np.take_along_axis(V, idx[..., None, :], axis=-2)[..., 0, :]
-    V = V * np.where(picked < 0, -1.0, 1.0)[..., None, :]
+    lams, V = np.linalg.eigh(_lapack_input(A))
+    idx = np.abs(V).argmax(axis=-2)
+    if V.ndim == 2:
+        picked = V[idx, _COL]
+    else:
+        picked = np.take_along_axis(V, idx[..., None, :], axis=-2)[..., 0, :]
+    V *= np.copysign(1.0, picked)[..., None, :]
     return EigenDecomp4(lams, V)
 
 
@@ -123,6 +158,13 @@ def qcqp_forward(A, gap_tol=DEFAULT_GAP_TOL, decomp=None):
     A = np.asarray(A, dtype=float)
     if decomp is None:
         decomp = symeig4(A)
+    if A.shape == (4, 4):
+        x = A.reshape(16)
+        fro = math.sqrt(np.add.reduce(x * x))
+        lams = decomp.lambdas
+        valid = np.bool_(float(lams[1]) - float(lams[0]) >= gap_tol * max(1.0, fro))
+        q = decomp.vectors[:, 0]
+        return (q.copy() if q[3] > 0 else canonicalize_quat(q)), decomp, valid
     fro = np.linalg.norm(A.reshape(A.shape[:-2] + (16,)), axis=-1)
     valid = decomp.eigengap >= gap_tol * np.maximum(1.0, fro)
     q = canonicalize_quat(decomp.vectors[..., :, 0])
@@ -161,12 +203,13 @@ def qcqp_solve(A, gap_tol=DEFAULT_GAP_TOL):
     Returns (q_star, eigengap) with q_star in canonical sign. Raises
     DegenerateEigenspace when lambda2 - lambda1 < gap_tol * max(1, ||A||_F).
     """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (4, 4):
-        raise ValueError(f"qcqp_solve expects a single (4, 4) matrix, got {A.shape}")
+    if np.shape(A) != (4, 4):
+        raise ValueError(f"qcqp_solve expects a single (4, 4) matrix, got {np.shape(A)}")
     q, dec, valid = qcqp_forward(A, gap_tol)
-    _raise_if_degenerate(valid, dec, gap_tol)
-    return q, float(dec.eigengap)
+    if not valid:
+        _raise_if_degenerate(valid, dec, gap_tol)
+    lams = dec.lambdas
+    return q, float(lams[1]) - float(lams[0])
 
 
 def pinv4_sym(M, rank_tol=1e-12):

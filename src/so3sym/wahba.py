@@ -51,6 +51,9 @@ class Correspondences:
             raise ValueError("u, v and sigma must be finite")
         if np.any(sigma <= 0):
             raise ValueError("all sigma must be > 0")
+        with np.errstate(over="ignore", divide="ignore"):
+            if not np.isfinite(1.0 / (sigma * sigma)).all():
+                raise ValueError("every weight 1/sigma^2 must be finite")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sigma", sigma)
@@ -95,6 +98,7 @@ def rng_for(seed, *path):
 # Row 3a+b is Ml(e_a_hat) @ Mr(e_b_hat), flattened: A's bilinear part is B.ravel() @ this.
 _PROFILE_TO_A = (quat_left_matrix(np.eye(3, 4))[:, None]
                  @ quat_right_matrix(np.eye(3, 4))[None, :]).reshape(9, 16)
+_EYE4 = np.eye(4)
 
 
 def build_data_matrix(c):
@@ -105,7 +109,7 @@ def build_data_matrix(c):
     wu, wv = w * c.u, w * c.v
     B = wv.T @ c.u
     s = np.vdot(wu, c.u) + np.vdot(wv, c.v)
-    A = s * np.eye(4) + 2.0 * (B.reshape(9) @ _PROFILE_TO_A).reshape(4, 4)
+    A = s * _EYE4 + 2.0 * (B.reshape(9) @ _PROFILE_TO_A).reshape(4, 4)
     return 0.5 * (A + A.T)
 
 
@@ -192,8 +196,12 @@ def read_correspondences_csv(path):
                         lineno, f"expected header {','.join(CSV_FIELDS)}, got {','.join(header)}")
                 continue
             vals = parse_csv_floats(lineno, row, CSV_FIELDS)
-            if vals[6] <= 0:
-                raise CorrespondenceParseError(lineno, f"sigma must be > 0, got {vals[6]}")
+            sigma = vals[6]
+            if sigma <= 0:
+                raise CorrespondenceParseError(lineno, f"sigma must be > 0, got {sigma}")
+            if sigma * sigma == 0.0 or not math.isfinite(1.0 / (sigma * sigma)):
+                raise CorrespondenceParseError(
+                    lineno, f"sigma {sigma} is too small: weight 1/sigma^2 is not finite")
             rows.append(vals)
         if header is None:
             raise CorrespondenceParseError(1, "missing header row")

@@ -97,6 +97,16 @@ def test_dispersion_trace_equals_dispersion_sum():
     assert abs(bingham.dispersion_trace(A) - belief.dispersions.sum()) < 1e-10
 
 
+
+@pytest.mark.parametrize("shape", [(), (100,), (3, 5)], ids=str)
+def test_dispersion_trace_matches_eigendecomp(shape):
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal(shape + (4, 4)) * 10.0 ** rng.integers(-3, 4, shape + (1, 1))
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    fro = np.linalg.norm(A, axis=(-2, -1))
+    err = np.abs(bingham.dispersion_trace(A) - symrep.symeig4(A).dispersion_trace)
+    assert np.all(err <= 1e-12 * np.maximum(1.0, fro))
+
 def test_dt_fit_golden():
     assert bingham.dt_fit([-4, -3, -2, -1], 1.0) == -1  # max
     assert bingham.dt_fit([-4, -3, -2, -1], 0.5) == -2.5

@@ -85,6 +85,40 @@ def test_bad_csv_value_exits_2(tmp_path, capsys, cmd, text, message):
     assert f"line 3: {message}" in err
 
 
+@pytest.mark.parametrize("cmd, text", [
+    ("wahba", _PAIRS + "0,1,0,0,1,0,1e-170\n"),
+    ("wahba", _PAIRS + "0,1,0,0,1,0,1e-160\n"),
+], ids=["sigma-underflow", "sigma-overflow"])
+def test_csv_sigma_with_infinite_weight_exits_2(tmp_path, capsys, cmd, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    code, _, err = run(capsys, cmd, path)
+    assert code == 2
+    assert "line 3: sigma" in err and "not finite" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["wahba", "--synthetic", "--sigma", "nan"], "--sigma"),
+    (["wahba", "--synthetic", "--sigma", "inf"], "--sigma"),
+    (["wahba", "--synthetic", "--phi-max-deg", "nan"], "--phi-max-deg"),
+    (["grad-check", "--count", "5", "--tolerance", "nan"], "--tolerance"),
+    (["grad-check", "--count", "5", "--tolerance", "-1"], "--tolerance"),
+    (["grad-check", "--count", "5", "--tolerance", "inf"], "--tolerance"),
+    (["--seed", "-1", "wahba", "--synthetic"], "--seed"),
+    (["--seed", "-1", "grad-check", "--count", "5"], "--seed"),
+    (["dt-eval", "model.npz", "--q", "nan"], "--q"),
+    (["dt-eval", "model.npz", "--q", "inf"], "--q"),
+], ids=["sigma-nan", "sigma-inf", "phi-max-nan", "tolerance-nan", "tolerance-neg",
+        "tolerance-inf", "seed-neg-wahba", "seed-neg-grad-check", "q-nan", "q-inf"])
+def test_non_finite_or_negative_flag_exits_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+
+
 # -- wahba --------------------------------------------------------------------
 
 

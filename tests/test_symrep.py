@@ -4,7 +4,7 @@ import pytest
 from so3sym import nn, so3, symrep
 from so3sym.symrep import DegenerateEigenspace
 
-from util import eig4_bisection_oracle
+from util import eig4_bisection_oracle, qcqp_forward_reference, symeig4_reference
 
 
 def rand_sym(rng, n=None):
@@ -362,3 +362,97 @@ def test_section_roundtrip_near_double_cover_seam():
     for qi in np.concatenate([v, w[:, None]], axis=-1):
         q_star, _ = symrep.qcqp_solve(symrep.smooth_section(qi))
         assert min(np.linalg.norm(q_star - qi), np.linalg.norm(q_star + qi)) < 1e-9
+
+
+# -- lean readout against the reference implementation -------------------------
+
+BATCH_SHAPES = [(), (1,), (100,), (10_000,), (3, 5)]
+_HALF_HADAMARD = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1.0]])
+
+
+def input_kinds(rng, shape):
+    """Inputs that reach every branch of the input check, by name."""
+    A = rng.standard_normal(shape + (4, 4))
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    # One mirrored pair per matrix zeroed, -0.0 below the diagonal and +0.0 above:
+    # eigh reads the lower triangle, and the zero's sign changes its result.
+    zeros = A.copy().reshape(-1, 4, 4)
+    for Z, (i, j) in zip(zeros, rng.integers(0, 4, (len(zeros), 2))):
+        if i != j:
+            Z[max(i, j), min(i, j)], Z[min(i, j), max(i, j)] = -0.0, 0.0
+    zeros = zeros.reshape(A.shape)
+    ints = rng.integers(-2, 3, A.shape).astype(float)
+    return {
+        "symmetric": A,
+        "skew_1e-14": A + 1e-14 * rng.standard_normal(A.shape),
+        "signed_zeros": zeros,
+        "tied_magnitudes": (_HALF_HADAMARD * rng.standard_normal(shape + (1, 4))) @ _HALF_HADAMARD,
+        "integer": ints + np.swapaxes(ints, -1, -2),
+    }
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=str)
+def test_lean_readout_matches_reference_bitwise(shape):
+    rng = np.random.default_rng(sum(shape) + 40)
+    for kind, A in input_kinds(rng, shape).items():
+        dec = symrep.symeig4(A)
+        q, dec_fwd, valid = symrep.qcqp_forward(A)
+        q_ref, lams_ref, V_ref, valid_ref = qcqp_forward_reference(A)
+        assert same_bits(dec.lambdas, lams_ref), kind
+        assert same_bits(dec.vectors, V_ref), kind
+        assert same_bits(dec_fwd.vectors, V_ref), kind
+        assert same_bits(q, q_ref), kind
+        assert same_bits(valid, valid_ref), kind
+
+
+def test_lean_readout_rows_match_single_calls():
+    rng = np.random.default_rng(41)
+    for kind, A in input_kinds(rng, (100,)).items():
+        dec = symrep.symeig4(A)
+        q, _, valid = symrep.qcqp_forward(A)
+        for i in range(len(A)):
+            one = symrep.symeig4(A[i])
+            q_one, _, valid_one = symrep.qcqp_forward(A[i])
+            assert same_bits(one.lambdas, dec.lambdas[i]), kind
+            assert same_bits(one.vectors, dec.vectors[i]), kind
+            assert same_bits(q_one, q[i]), kind
+            assert valid_one == valid[i], kind
+
+
+def test_lean_readout_single_signed_zeros_match_reference():
+    rng = np.random.default_rng(42)
+    for A in input_kinds(rng, (200,))["signed_zeros"]:
+        q, dec, valid = symrep.qcqp_forward(A)
+        q_ref, lams_ref, V_ref, _ = qcqp_forward_reference(A)
+        assert same_bits(dec.lambdas, lams_ref) and same_bits(dec.vectors, V_ref)
+        assert same_bits(q, q_ref)
+
+
+@pytest.mark.parametrize("batch", [None, 5], ids=["single", "batched"])
+@pytest.mark.parametrize("entry, message", [
+    (0.5, "matrix is not symmetric"),
+    (np.nan, "matrix has non-finite entries"),
+    (np.inf, "matrix has non-finite entries"),
+], ids=["asymmetric", "nan", "inf"])
+def test_symeig4_error_messages(batch, entry, message):
+    bad = np.eye(4)
+    bad[0, 1] = entry
+    A = bad if batch is None else np.stack([np.eye(4)] * 3 + [bad] + [np.eye(4)])
+    for fn in (symrep.symeig4, symrep.qcqp_forward):
+        with pytest.raises(ValueError, match=message):
+            fn(A)
+        with pytest.raises(ValueError, match=message):
+            symeig4_reference(A)
+
+
+def test_symeig4_symmetric_input_near_float_max():
+    # 0.5 * (A + A^T) overflows here; exactly symmetric input is passed on as is.
+    for A in (1e308 * np.eye(4), np.stack([1e308 * np.eye(4), np.eye(4)])):
+        dec = symrep.symeig4(A)
+        assert np.all(np.isfinite(dec.lambdas))
+        assert np.array_equal(dec.lambdas[..., 0], np.diagonal(A, axis1=-2, axis2=-1)[..., 0])

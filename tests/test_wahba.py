@@ -85,6 +85,12 @@ def test_correspondences_reject_non_finite(field, bad):
         Correspondences(**data)
 
 
+@pytest.mark.parametrize("sigma", [1e-170, 1e-160, 5e-324])
+def test_correspondences_reject_non_finite_weight(sigma):
+    with pytest.raises(ValueError, match="weight"):
+        Correspondences(u=np.eye(3), v=np.eye(3), sigma=[1.0, sigma, 1.0])
+
+
 def test_noiseless_recovery():
     cfg = SyntheticConfig(num_matches=100, sigma=0.0, phi_max=np.pi, seed=3)
     R_hat, corr = wahba.sample_synthetic(cfg)

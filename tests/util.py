@@ -136,3 +136,31 @@ def chordal_cost_at(q_candidates, quats, weights=None):
     R_i = so3.quat_to_rot(np.asarray(quats))
     diff = R_c[:, None, :, :] - R_i[None, :, :, :]
     return np.einsum("n,cnij->c", w, diff * diff)
+
+
+def symeig4_reference(A):
+    """symeig4 as first written: tolerance check, symmetrize, eigh, take_along_axis sign.
+
+    The lean readout must match it bit for bit wherever it accepts the input.
+    """
+    A = np.asarray(A, dtype=float)
+    scale = np.maximum(np.abs(A).max(axis=(-2, -1)), 1.0)
+    skew = np.abs(A - np.swapaxes(A, -1, -2)).max(axis=(-2, -1))
+    if np.any(skew > 1e-12 * scale):
+        raise ValueError("matrix is not symmetric")
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
+    lams, V = np.linalg.eigh(A)
+    idx = np.argmax(np.abs(V), axis=-2)
+    picked = np.take_along_axis(V, idx[..., None, :], axis=-2)[..., 0, :]
+    return lams, V * np.where(picked < 0, -1.0, 1.0)[..., None, :]
+
+
+def qcqp_forward_reference(A, gap_tol=1e-8):
+    """(q, lambdas, vectors, valid) of qcqp_forward as first written, on symeig4_reference."""
+    A = np.asarray(A, dtype=float)
+    lams, V = symeig4_reference(A)
+    fro = np.linalg.norm(A.reshape(A.shape[:-2] + (16,)), axis=-1)
+    valid = lams[..., 1] - lams[..., 0] >= gap_tol * np.maximum(1.0, fro)
+    return so3.canonicalize_quat(V[..., :, 0]), lams, V, valid
