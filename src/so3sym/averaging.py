@@ -22,10 +22,7 @@ def _as_quats(quats):
 
 def inertia_matrix(quats, weights=None):
     """Positive semi-definite sum_i w_i q_i q_i^T; weights default to 1."""
-    return _inertia(_as_quats(quats), weights)
-
-
-def _inertia(q, weights):
+    q = _as_quats(quats)
     if weights is None:
         M = q.T @ q
     else:
@@ -50,7 +47,7 @@ def chordal_mean(quats, weights=None, gap_tol=DEFAULT_GAP_TOL):
     if len(q) == 0:
         raise ValueError("chordal_mean requires at least one quaternion")
     # The layer extracts the minimum eigenvector; the average needs the maximum.
-    mean, _ = qcqp_solve(-_inertia(q, weights), gap_tol=gap_tol)
+    mean, _ = qcqp_solve(-inertia_matrix(q, weights), gap_tol=gap_tol)
     return mean
 
 

@@ -159,6 +159,7 @@ def qcqp_forward(A, gap_tol=DEFAULT_GAP_TOL, decomp=None):
     if decomp is None:
         decomp = symeig4(A)
     if A.shape == (4, 4):
+        # The sum np.linalg.norm(..., axis=-1) takes, so valid keeps its bits.
         x = A.reshape(16)
         fro = math.sqrt(np.add.reduce(x * x))
         lams = decomp.lambdas
