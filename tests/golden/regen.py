@@ -1,9 +1,12 @@
-"""Golden stdout of the so3sym CLI, and the script that regenerates it.
+"""Golden outputs of the so3sym CLI, and the script that regenerates them.
 
-Each case runs `so3sym.cli.main` in-process on a checked-in input and keeps
-its stdout in `<name>.out` next to this file. `tests/test_golden.py` reruns
-the cases and compares: text must match exactly, numbers within REL_TOL
-relative.
+Each case runs `so3sym.cli.main` in-process, one command after another, in
+a fresh output directory. Its last command's stdout is kept in
+`<name>.out` next to this file, with the output directory written as
+"{out}"; each file a case names is kept as `<name>.<file>`.
+`tests/test_golden.py` reruns the cases and compares: text must match
+exactly, numbers within REL_TOL relative. Lines split into fields at
+whitespace and at commas, so CSV numbers compare within the tolerance too.
 
 Regenerate (only when an output change is intended, and say so in
 CHANGES.md with the largest drift):
@@ -12,41 +15,70 @@ CHANGES.md with the largest drift):
 """
 
 import contextlib
+import functools
 import io
-import math
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
 REL_TOL = 1e-12
 
-# name -> argv; "{golden}" is replaced by this directory.
+# name -> (commands, files kept); "{golden}" is this directory, "{out}" the case's output directory.
 CASES = {
-    "wahba_synthetic_seed3": ["--seed", "3", "wahba", "--synthetic"],
-    "wahba_pairs": ["wahba", "{golden}/pairs.csv"],
-    "avg_chordal_weighted": ["avg", "{golden}/quats_weighted.csv"],
-    "avg_quat": ["avg", "--method", "quat", "{golden}/quats.csv"],
-    "grad_check_50": ["grad-check", "--count", "50"],
+    "wahba_synthetic_seed3": ([["--seed", "3", "wahba", "--synthetic"]], ()),
+    "wahba_pairs": ([["wahba", "{golden}/pairs.csv"]], ()),
+    "avg_chordal_weighted": ([["avg", "{golden}/quats_weighted.csv"]], ()),
+    "avg_quat": ([["avg", "--method", "quat", "{golden}/quats.csv"]], ()),
+    "grad_check_50": ([["grad-check", "--count", "50"]], ()),
+    "train_all_chord": ([["--out", "{out}", "train", "{golden}/train_all_chord.json"]],
+                        ("results.csv",)),
+    "train_quat_loss": ([["--out", "{out}", "train", "{golden}/train_quat_loss.json"]],
+                        ("results.csv",)),
+    "dt_eval_noise": ([["--out", "{out}", "train", "{golden}/train_dt_model.json", "--save-model"],
+                       ["--seed", "5", "--out", "{out}", "dt-eval", "{out}/model_A_t0.npz"]],
+                      ("dt_rows.csv",)),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def run_case(name):
+    """(exit code of the first failing or the last command, {"out" or file name: text})."""
+    from so3sym import cli
+
+    commands, files = CASES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in commands:
+            argv = [a.replace("{golden}", str(GOLDEN)).replace("{out}", tmp) for a in argv]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            if code != 0:
+                break
+        products = {"out": out.getvalue().replace(tmp, "{out}")}
+        for f in files if code == 0 else ():
+            products[f] = (Path(tmp) / f).read_text()
+    return code, products
 
 
 def capture(name):
     """(exit code, stdout) of one case."""
-    from so3sym import cli
-
-    argv = [a.replace("{golden}", str(GOLDEN)) for a in CASES[name]]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    return code, out.getvalue()
+    code, products = run_case(name)
+    return code, products["out"]
 
 
 def _close(a, b):
+    if a == b:
+        return True
     try:
         x, y = float(a), float(b)
     except ValueError:
-        return a == b
-    return x == y or abs(x - y) <= REL_TOL * max(abs(x), abs(y))
+        return False
+    return abs(x - y) <= REL_TOL * max(abs(x), abs(y))
+
+
+_FIELD_SEP = re.compile(r",|\s+")
 
 
 def mismatch(expected, actual):
@@ -55,7 +87,7 @@ def mismatch(expected, actual):
     if len(exp) != len(act):
         return f"{len(act)} lines, expected {len(exp)}"
     for i, (e, a) in enumerate(zip(exp, act), start=1):
-        te, ta = e.split(), a.split()
+        te, ta = _FIELD_SEP.split(e.strip()), _FIELD_SEP.split(a.strip())
         if len(te) != len(ta) or not all(map(_close, te, ta)):
             return f"line {i}: {a!r}, expected {e!r}"
     return None
@@ -63,11 +95,12 @@ def mismatch(expected, actual):
 
 def main():
     for name in CASES:
-        code, out = capture(name)
+        code, products = run_case(name)
         if code != 0:
             sys.exit(f"{name}: exit code {code}")
-        (GOLDEN / f"{name}.out").write_text(out)
-        print(f"wrote {name}.out")
+        for product, text in products.items():
+            (GOLDEN / f"{name}.{product}").write_text(text)
+            print(f"wrote {name}.{product}")
 
 
 if __name__ == "__main__":
