@@ -49,6 +49,7 @@ from .bingham import (
 )
 from .wahba import (
     Correspondences,
+    InputError,
     SyntheticConfig,
     build_data_matrix,
     rng_for,

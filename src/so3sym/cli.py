@@ -6,13 +6,13 @@ train (learning comparison across representation heads; CSV + SVG),
 dt-eval (dispersion-threshold OOD evaluation of a trained model), and
 avg (rotation averaging of a quaternion file).
 
-Exit codes: 0 success, 1 check failure or degenerate problem, 2 input error.
+Exit codes: 0 success, 1 check failure, degenerate problem or diverged
+training, 2 input error. `main` alone maps errors to them.
 All randomness derives from --seed; runs are bit-deterministic.
 """
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -25,10 +25,10 @@ from .so3 import canonicalize_quat, d_ang, d_chord, d_quat, quat_to_rot
 from .symrep import (A_to_theta, DegenerateEigenspace, EigenDecomp4, qcqp_forward,
                      qcqp_jacobian_theta, theta_to_A)
 from .wahba import (
-    CorrespondenceParseError,
+    InputError,
     SyntheticConfig,
+    _read_csv_table,
     build_data_matrix,
-    parse_csv_floats,
     read_correspondences_csv,
     rng_for,
     sample_synthetic,
@@ -114,31 +114,16 @@ def cmd_grad_check(args):
 
 def cmd_wahba(args):
     if args.synthetic == (args.input is not None):
-        print("error: provide exactly one of INPUT.csv or --synthetic", file=sys.stderr)
-        return 2
+        raise InputError("provide exactly one of INPUT.csv or --synthetic")
     R_true = None
     if args.synthetic:
-        try:
-            cfg = SyntheticConfig(num_matches=args.n, sigma=args.sigma,
-                                  phi_max=np.deg2rad(args.phi_max_deg), seed=args.seed)
-        except ValueError as exc:
-            print(f"error: invalid --sigma or --phi-max-deg: {exc}", file=sys.stderr)
-            return 2
-        R_true, corr = sample_synthetic(cfg)
+        R_true, corr = sample_synthetic(SyntheticConfig(
+            num_matches=args.n, sigma=args.sigma, phi_max=np.deg2rad(args.phi_max_deg), seed=args.seed))
     else:
-        try:
-            corr = read_correspondences_csv(args.input)
-        except CorrespondenceParseError as exc:
-            print(f"error: {args.input}: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        corr = read_correspondences_csv(args.input)
     q, dec, valid = qcqp_forward(build_data_matrix(corr))
     if not valid:
-        print(f"error: degenerate problem: minimum eigenvalue is not simple "
-              f"(gap {dec.eigengap:.3e})", file=sys.stderr)
-        return 1
+        raise DegenerateEigenspace(f"minimum eigenvalue is not simple (gap {dec.eigengap:.3e})")
     print(f"pairs: {len(corr)}")
     print(f"q_star: {_fmt(q[0])} {_fmt(q[1])} {_fmt(q[2])} {_fmt(q[3])}")
     print(f"eigengap: {_fmt(dec.eigengap)}")
@@ -153,39 +138,26 @@ def cmd_wahba(args):
 # train
 
 
-def _write_rows_csv(path, rows):
+def _write_csv(path, schema, header, rows):
+    """A CSV file: the schema comment line, the header, then the rows."""
     with open(path, "w", newline="") as fh:
-        fh.write(RESULTS_SCHEMA + "\n")
+        fh.write(schema + "\n")
         writer = csv.writer(fh)
-        writer.writerow(["trial", "seed", "lr", "epoch", "split", "head",
-                         "mean_deg", "median_deg", "p10_deg", "p90_deg"])
-        for r in rows:
-            writer.writerow([r.trial, r.seed, repr(r.lr), r.epoch, r.split, r.head,
-                             repr(r.mean_deg), repr(r.median_deg),
-                             repr(r.p10_deg), repr(r.p90_deg)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_train(args):
-    try:
-        with open(args.config) as fh:
-            raw_cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-        return 2
-    if "seed" not in raw_cfg:
-        raw_cfg["seed"] = args.seed
-    try:
-        cfg = nn.TrainConfig.from_dict(raw_cfg)
-    except (TypeError, ValueError) as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-
+    cfg = nn.TrainConfig.from_json(args.config, seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
     result = nn.train_experiment(cfg)
     rows = sorted(result.rows(), key=lambda r: (r.head, r.trial, r.epoch, r.split))
 
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "results.csv")
-    _write_rows_csv(csv_path, rows)
+    _write_csv(csv_path, RESULTS_SCHEMA, ["trial", "seed", "lr", "epoch", "split", "head", "mean_deg",
+                                          "median_deg", "p10_deg", "p90_deg"],
+               [[r.trial, r.seed, repr(r.lr), r.epoch, r.split, r.head, repr(r.mean_deg),
+                 repr(r.median_deg), repr(r.p10_deg), repr(r.p90_deg)] for r in rows])
     print(f"wrote {csv_path} ({len(rows)} rows)")
     svg_path = os.path.join(args.out, "learning_curves.svg")
     svgplot.render_learning_curves(rows, svg_path)
@@ -207,16 +179,12 @@ def cmd_train(args):
 
 
 def cmd_dt_eval(args):
-    try:
-        net, head, cfg_dict = nn.load_model(args.model)
-        cfg = nn.TrainConfig.from_dict(cfg_dict)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot load model {args.model}: {exc}", file=sys.stderr)
-        return 2
+    net, head, cfg_dict = nn.load_model(args.model)
+    cfg = nn.TrainConfig.from_dict(cfg_dict)
     if head != "A":
-        print(f"error: dispersion thresholding requires a symmetric-matrix head model, got {head!r}",
-              file=sys.stderr)
-        return 2
+        raise InputError(f"{args.model}: dispersion thresholding requires a symmetric-matrix "
+                         f"head model, got {head!r}")
+    os.makedirs(args.out, exist_ok=True)
     rng = rng_for(args.seed, 404)
     report = nn.dt_evaluate(net, cfg, args.q, args.corruption, rng, n_mix=args.mix)
 
@@ -233,15 +201,10 @@ def cmd_dt_eval(args):
     print(f"mean_trace_clean: {_fmt(report.mean_trace_clean)}")
     print(f"mean_trace_corrupted: {corr_trace}")
 
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "dt_rows.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(DT_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["index", "trace", "kept", "corrupted", "err_deg"])
-        for i in range(len(report.traces)):
-            writer.writerow([i, repr(float(report.traces[i])), int(report.kept[i]),
-                             int(report.corrupted[i]), repr(float(report.errors_deg[i]))])
+    rows = [[i, repr(float(t)), int(k), int(c), repr(float(e))] for i, (t, k, c, e)
+            in enumerate(zip(report.traces, report.kept, report.corrupted, report.errors_deg))]
+    _write_csv(path, DT_SCHEMA, ["index", "trace", "kept", "corrupted", "err_deg"], rows)
     print(f"wrote {path}")
     return 0
 
@@ -250,61 +213,38 @@ def cmd_dt_eval(args):
 # avg
 
 
+QUAT_HEADERS = (["x", "y", "z", "w"], ["x", "y", "z", "w", "weight"])
+
+
+def _quat_problem(vals):
+    n = math.hypot(*vals[:4])
+    if abs(n - 1.0) > 1e-6:
+        return f"quaternion norm {n:.6g} is not 1"
+    if len(vals) == 5 and vals[4] < 0:
+        return f"weight must be >= 0, got {vals[4]}"
+
+
 def read_quaternions_csv(path):
     """Parse a quaternion CSV (header x,y,z,w with optional weight column)."""
-    quats, weights = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [f.strip() for f in row]
-                if header not in (["x", "y", "z", "w"], ["x", "y", "z", "w", "weight"]):
-                    raise CorrespondenceParseError(
-                        lineno, f"expected header x,y,z,w[,weight], got {','.join(header)}")
-                continue
-            vals = parse_csv_floats(lineno, row, header)
-            n = float(np.linalg.norm(vals[:4]))
-            if abs(n - 1.0) > 1e-6:
-                raise CorrespondenceParseError(lineno, f"quaternion norm {n:.6g} is not 1")
-            quats.append(vals[:4])
-            if len(vals) == 5:
-                if vals[4] < 0:
-                    raise CorrespondenceParseError(lineno, f"weight must be >= 0, got {vals[4]}")
-                weights.append(vals[4])
-        if header is None:
-            raise CorrespondenceParseError(1, "missing header row")
-    return np.array(quats, dtype=float).reshape(-1, 4), (np.array(weights) if weights else None)
+    header, rows = _read_csv_table(path, QUAT_HEADERS, _quat_problem)
+    data = np.array(rows, dtype=float).reshape(-1, len(header))
+    weights = data[:, 4].copy() if len(header) == 5 and len(data) else None
+    return np.ascontiguousarray(data[:, :4]), weights
 
 
 def cmd_avg(args):
-    try:
-        quats, weights = read_quaternions_csv(args.input)
-    except CorrespondenceParseError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    quats, weights = read_quaternions_csv(args.input)
     if len(quats) == 0:
-        print(f"error: {args.input}: no quaternions", file=sys.stderr)
-        return 2
+        raise InputError(f"{args.input}: no quaternions")
     if args.method == "quat" and weights is not None:
-        print("error: weights are only supported by the chordal method", file=sys.stderr)
-        return 2
-    try:
-        if args.method == "chordal":
-            mean = chordal_mean(quats, weights)
-            w = np.ones(len(quats)) if weights is None else weights
-            cost = float(np.sum(w * d_chord(quat_to_rot(mean), quat_to_rot(quats)) ** 2))
-        else:
-            mean = quat_mean(quats)
-            cost = float(np.sum(d_quat(mean, quats) ** 2))
-    except (DegenerateEigenspace, ValueError) as exc:
-        print(f"error: degenerate mean: {exc}", file=sys.stderr)
-        return 1
+        raise InputError("weights are only supported by the chordal method")
+    if args.method == "chordal":
+        mean = chordal_mean(quats, weights)
+        w = np.ones(len(quats)) if weights is None else weights
+        cost = float(np.sum(w * d_chord(quat_to_rot(mean), quat_to_rot(quats)) ** 2))
+    else:
+        mean = quat_mean(quats)
+        cost = float(np.sum(d_quat(mean, quats) ** 2))
     mean = canonicalize_quat(mean)
     print(f"count: {len(quats)}")
     print(f"method: {args.method}")
@@ -317,47 +257,32 @@ def cmd_avg(args):
 # parser
 
 
-def _positive_int(text):
-    """argparse type for counts: an integer >= 1."""
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _bounded(kind, lo, hi=math.inf, lo_open=False):
+    """argparse type: a finite int or float (`kind`) >= lo, or > lo when lo_open, and <= hi."""
+    what = (f"{'an integer' if kind is int else 'a finite number'} {'>' if lo_open else '>='} {lo:g}"
+            + (f" and <= {hi:g}" if hi < math.inf else ""))
 
-
-def _nonnegative_int(text):
-    """argparse type for --seed: an integer >= 0."""
-    if not text.strip().isdigit():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
-
-
-def _positive_float(text):
-    """argparse type for a finite number > 0 (argparse itself rejects non-numbers)."""
-    x = float(text)
-    if not (math.isfinite(x) and x > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return x
-
-
-def _nonnegative_float(text):
-    """argparse type for a finite number >= 0 (argparse itself rejects non-numbers)."""
-    x = float(text)
-    if not (math.isfinite(x) and x >= 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return x
+    def parse(text):
+        x = kind(text)  # argparse reports its ValueError as "invalid <kind> value"
+        if not ((lo < x if lo_open else lo <= x) and x <= hi and x != math.inf):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return x
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def build_parser():
     p = argparse.ArgumentParser(
         prog="so3sym",
         description="Symmetric-matrix rotation representation: solver, training, and OOD tools")
-    p.add_argument("--seed", type=_nonnegative_int, default=0, help="global RNG seed (default 0)")
+    p.add_argument("--seed", type=_bounded(int, 0), default=0, help="global RNG seed (default 0)")
     p.add_argument("--out", default=".", help="output directory for generated files")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("grad-check", help="finite-difference check of the QCQP layer Jacobian")
-    g.add_argument("--count", type=_positive_int, default=1000, help="number of random matrices")
-    g.add_argument("--tolerance", type=_positive_float, default=1e-5, help="max relative error allowed")
+    g.add_argument("--count", type=_bounded(int, 1), default=1000, help="number of random matrices")
+    g.add_argument("--tolerance", type=_bounded(float, 0, lo_open=True), default=1e-5,
+                   help="max relative error allowed")
     g.add_argument("--self-test", action="store_true",
                    help="negative control: verify a corrupted Jacobian is rejected")
     g.set_defaults(func=cmd_grad_check)
@@ -366,9 +291,10 @@ def build_parser():
     w.add_argument("input", nargs="?", default=None,
                    help="correspondence CSV (header ux,uy,uz,vx,vy,vz,sigma)")
     w.add_argument("--synthetic", action="store_true", help="generate a synthetic instance")
-    w.add_argument("--n", type=_positive_int, default=100, help="synthetic pair count")
-    w.add_argument("--sigma", type=_nonnegative_float, default=0.01, help="synthetic noise std-dev")
-    w.add_argument("--phi-max-deg", type=_positive_float, default=180.0, help="synthetic max angle")
+    w.add_argument("--n", type=_bounded(int, 1), default=100, help="synthetic pair count")
+    w.add_argument("--sigma", type=_bounded(float, 0), default=0.01, help="synthetic noise std-dev")
+    w.add_argument("--phi-max-deg", type=_bounded(float, 0, 180, lo_open=True), default=180.0,
+                   help="synthetic max angle in degrees, in (0, 180]")
     w.set_defaults(func=cmd_wahba)
 
     t = sub.add_parser("train", help="train rotation regressors per representation head")
@@ -379,9 +305,9 @@ def build_parser():
     d = sub.add_parser("dt-eval", help="dispersion-threshold OOD evaluation of a trained model")
     d.add_argument("model", help="model .npz path (symmetric-matrix head)")
     d.add_argument("--corruption", choices=nn.CORRUPTIONS, default="noise")
-    d.add_argument("--q", type=_positive_float, default=0.75,
+    d.add_argument("--q", type=_bounded(float, 0, lo_open=True), default=0.75,
                    help="training quantile for the threshold (> 0; >= 1 keeps everything)")
-    d.add_argument("--mix", type=_positive_int, default=200, help="test mix size (50%% corrupted)")
+    d.add_argument("--mix", type=_bounded(int, 1), default=200, help="test mix size (50%% corrupted)")
     d.set_defaults(func=cmd_dt_eval)
 
     a = sub.add_parser("avg", help="average a CSV of unit quaternions")
@@ -392,8 +318,19 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; the only place that turns an error into an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InputError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except DegenerateEigenspace as exc:
+        print(f"error: degenerate problem: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry():

@@ -20,6 +20,8 @@ seed.
 
 import functools
 import json
+import numbers
+import zipfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from . import so3
 from .symrep import (DEFAULT_GAP_TOL, DegenerateEigenspace, qcqp_forward, qcqp_vjp,
                      theta_to_A, theta_to_A_adjoint)
-from .wahba import rng_for
+from .wahba import InputError, rng_for
 
 HEADS = ("quat", "6d", "A")
 LOSSES = ("quat", "chord", "ang")
@@ -63,16 +65,10 @@ class DenseNet:
         return self.weights[-1].shape[0]
 
     def params(self):
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.extend([W, b])
-        return out
+        return [p for W_b in zip(self.weights, self.biases) for p in W_b]
 
     def set_params(self, params):
-        n = len(self.weights)
-        for l in range(n):
-            self.weights[l] = params[2 * l]
-            self.biases[l] = params[2 * l + 1]
+        self.weights[:], self.biases[:] = params[0::2], params[1::2]
 
 
 def init_net(in_dim, hidden_widths, out_dim, rng):
@@ -408,47 +404,72 @@ class TrainConfig:
     batches_per_epoch: int = 5
 
     def __post_init__(self):
-        """Range-check every numeric setting; errors name the key."""
+        """Check the type and range of every setting; errors name the key."""
         def require(key, ok, what):
             if not ok:
-                raise ValueError(f"{key} must be {what}, got {getattr(self, key)!r}")
+                raise InputError(f"{key} must be {what}, got {getattr(self, key)!r}")
 
-        for key in ("trials", "batch_rotations", "matches_per_rotation", "test_rotations",
-                    "batches_per_epoch"):
-            require(key, getattr(self, key) >= 1, ">= 1")
-        require("epochs", self.epochs >= 0, ">= 0")
-        require("hidden_widths", all(w >= 1 for w in self.hidden_widths), "a list of widths >= 1")
-        require("lr", self.lr is None or 0.0 <= self.lr < np.inf, "null or finite and >= 0")
-        lo_hi = self.lr_range
-        require("lr_range", len(lo_hi) == 2 and 0.0 < lo_hi[0] <= lo_hi[1] < np.inf,
+        def number(x, kind=numbers.Real):  # bool is an int, but not a number here
+            return isinstance(x, kind) and not isinstance(x, bool)
+
+        for key, lo in (("seed", 0), ("epochs", 0), ("trials", 1), ("batch_rotations", 1),
+                        ("matches_per_rotation", 1), ("test_rotations", 1), ("batches_per_epoch", 1)):
+            x = getattr(self, key)
+            require(key, number(x, numbers.Integral) and x >= lo, f"an integer >= {lo}")
+        widths, lo_hi = self.hidden_widths, self.lr_range
+        require("hidden_widths", isinstance(widths, (list, tuple))
+                and all(number(w, numbers.Integral) and w >= 1 for w in widths),
+                "a list of integers >= 1")
+        require("lr", self.lr is None or number(self.lr) and 0.0 <= self.lr < np.inf,
+                "null or finite and >= 0")
+        require("lr_range", isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
+                and all(map(number, lo_hi)) and 0.0 < lo_hi[0] <= lo_hi[1] < np.inf,
                 "a finite [lo, hi] with 0 < lo <= hi")
-        require("phi_max_deg", 0.0 < self.phi_max_deg <= 180.0, "in (0, 180]")
-        require("sigma", 0.0 <= self.sigma < np.inf, "finite and >= 0")
+        require("phi_max_deg", number(self.phi_max_deg) and 0.0 < self.phi_max_deg <= 180.0,
+                "in (0, 180]")
+        require("sigma", number(self.sigma) and 0.0 <= self.sigma < np.inf, "finite and >= 0")
         require("loss", self.loss in LOSSES, f"one of {LOSSES}")
         self.heads()
 
     def heads(self):
+        """The heads to train, in order; raises InputError on a bad head or head/loss pair."""
         h = self.head
-        if h == "all":
-            return list(HEADS)
-        if isinstance(h, str):
-            h = [h]
+        h = list(HEADS) if h == "all" else [h] if isinstance(h, str) else h
+        if not (isinstance(h, (list, tuple)) and h and all(name in HEADS for name in h)):
+            raise InputError(f"head must be 'all', one of {HEADS} or a non-empty list of them, "
+                             f"got {self.head!r}")
         for name in h:
-            if name not in HEADS:
-                raise ValueError(f"unknown head {name!r}; choose from {HEADS}")
+            check_head_loss(name, self.loss)
         return list(h)
 
     @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if "hidden_widths" in d:
-            d["hidden_widths"] = tuple(d["hidden_widths"])
-        if "lr_range" in d:
-            d["lr_range"] = tuple(d["lr_range"])
+    def from_dict(cls, d, **defaults):
+        """Config from a JSON object; keys it lacks take `defaults`, then the field defaults."""
+        if not isinstance(d, dict):
+            raise InputError(f"config must be a JSON object, got {type(d).__name__}")
+        d = {**defaults, **d}
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise InputError(f"unknown config keys: {sorted(unknown)}")
+        for key in ("hidden_widths", "lr_range"):
+            if isinstance(d.get(key), list):
+                d[key] = tuple(d[key])
         return cls(**d)
+
+    @classmethod
+    def from_json(cls, path, **defaults):
+        """from_dict of a JSON file; any fault raises InputError naming the file."""
+        with open(path) as fh:
+            try:
+                return cls.from_dict(json.load(fh), **defaults)
+            except ValueError as exc:  # InputError, or a file that is not JSON text
+                raise InputError(f"{path}: {exc}") from None
+
+
+def check_head_loss(head, loss):
+    """Raise InputError when `loss` cannot train `head`."""
+    if loss == "quat" and head == "6d":
+        raise InputError("loss 'quat' is not differentiable through head '6d'; use chord or ang")
 
 
 @dataclass(frozen=True)
@@ -482,10 +503,7 @@ class ExperimentResult:
     trials: list
 
     def rows(self):
-        out = []
-        for t in self.trials:
-            out.extend(t.rows)
-        return out
+        return [r for t in self.trials for r in t.rows]
 
 
 CORRUPTIONS = ("none", "noise", "shuffle", "zero")
@@ -566,18 +584,24 @@ def _stats_row(trial, seed, lr, epoch, split, head, errs_deg):
                     mean_deg=mean, median_deg=med, p10_deg=p10, p90_deg=p90)
 
 
-def evaluate(net, head, x, R_gt, gap_tol=DEFAULT_GAP_TOL):
-    """Forward a batch and return (errors_deg over valid, traces, valid mask)."""
+def _diverged(where):
+    return FloatingPointError(f"training diverged at {where}: network output is not finite")
+
+
+def evaluate(net, head, x, R_gt, where, gap_tol=DEFAULT_GAP_TOL):
+    """(errors_deg over valid, traces, valid mask) of a batch; a non-finite net output raises."""
     raw, _ = forward(net, x)
+    if not np.isfinite(raw).all():
+        raise _diverged(where)
     q, R, trace, _, valid = _batch_head(head, raw, gap_tol)
     errs = _angular_errors_deg(R, R_gt, valid)
     return errs, trace, valid
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence raises below, without warnings first
 def train_single(cfg, head, trial=0):
-    """Train one head for one trial; returns a TrialResult."""
-    if cfg.loss == "quat" and head == "6d":
-        raise ValueError("quat loss is not differentiable through the 6d head; use chord or ang")
+    """Train one head for one trial; returns a TrialResult. Divergence raises FloatingPointError."""
+    check_head_loss(head, cfg.loss)
     lr = cfg.lr
     if lr is None:
         lo, hi = cfg.lr_range
@@ -589,13 +613,16 @@ def train_single(cfg, head, trial=0):
     rows = []
     degenerate = 0
 
+    def at(epoch, part):
+        return f"head {head}, trial {trial}, epoch {epoch}, {part}"
+
     def test_row(epoch):
-        errs, _, _ = evaluate(net, head, test_x, test_R)
+        errs, _, _ = evaluate(net, head, test_x, test_R, at(epoch, "test set"))
         rows.append(_stats_row(trial, cfg.seed, lr, epoch, "test", head, errs))
 
     # Epoch-0 baseline: untrained test row plus one untouched training batch.
     base_x, _, base_R = sample_batch(cfg, rng_for(cfg.seed, trial, _STREAM_TRAIN, 0, 0), cfg.batch_rotations)
-    errs0, _, _ = evaluate(net, head, base_x, base_R)
+    errs0, _, _ = evaluate(net, head, base_x, base_R, at(0, "batch 0"))
     rows.append(_stats_row(trial, cfg.seed, lr, 0, "train", head, errs0))
     test_row(0)
 
@@ -606,6 +633,8 @@ def train_single(cfg, head, trial=0):
             rng = rng_for(cfg.seed, trial, _STREAM_TRAIN, epoch, batch)
             x, q_gt, R_gt = sample_batch(cfg, rng, cfg.batch_rotations)
             raw, cache = forward(net, x)
+            if not np.isfinite(raw).all():
+                raise _diverged(at(epoch, f"batch {batch}"))
             q, R, _, aux, valid = _batch_head(head, raw)
             n_valid = int(valid.sum())
             degenerate += int((~valid).sum())
@@ -622,10 +651,7 @@ def train_single(cfg, head, trial=0):
             grad_raw = _batch_head_backward(head, raw, q, aux, gq, gR)
             grad_raw = np.where(valid[..., None], grad_raw, 0.0)
             grads = backward(net, cache, grad_raw)
-            flat = []
-            for dW, db in grads:
-                flat.extend([dW, db])
-            net.set_params(adam_step(state, net.params(), flat))
+            net.set_params(adam_step(state, net.params(), [g for dW_db in grads for g in dW_db]))
         rows.append(_stats_row(trial, cfg.seed, lr, epoch, "train", head,
                                np.concatenate(epoch_errs) if epoch_errs else []))
         test_row(epoch)
@@ -767,16 +793,19 @@ def save_model(path, net, head, config):
 
 
 def load_model(path):
-    """Returns (net, head, config_dict)."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format") != MODEL_FORMAT:
-            raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-        weights, biases = [], []
-        l = 0
-        while f"W{l}" in data:
-            weights.append(data[f"W{l}"])
-            biases.append(data[f"b{l}"])
-            l += 1
-    net = DenseNet(weights, biases, meta["activations"])
-    return net, meta["head"], meta["config"]
+    """Returns (net, head, config_dict); a file that is not a model raises InputError."""
+    try:
+        with open(path, "rb") as fh, np.load(fh) as data:  # np.load(path) leaks it on a bad zip
+            meta = json.loads(bytes(data["meta"]).decode())
+            if meta.get("format") != MODEL_FORMAT:
+                raise ValueError(f"format is {meta.get('format')!r}")
+            weights, biases, l = [], [], 0
+            while f"W{l}" in data:
+                weights.append(data[f"W{l}"])
+                biases.append(data[f"b{l}"])
+                l += 1
+        if not all(np.isfinite(a).all() for a in weights + biases):
+            raise ValueError("weights are not finite")
+        return DenseNet(weights, biases, meta["activations"]), meta["head"], meta["config"]
+    except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
+        raise InputError(f"{path}: not a {MODEL_FORMAT} file: {exc}") from None

@@ -52,8 +52,14 @@ class Correspondences:
         if np.any(sigma <= 0):
             raise ValueError("all sigma must be > 0")
         with np.errstate(over="ignore", divide="ignore"):
-            if not np.isfinite(1.0 / (sigma * sigma)).all():
+            w = 1.0 / (sigma * sigma)
+            if not np.isfinite(w).all():
                 raise ValueError("every weight 1/sigma^2 must be finite")
+            # The data matrix's 16 entries are at most 2 s in size; its readout squares them.
+            s = float(w @ np.sum(u * u + v * v, axis=-1))
+        if not 64.0 * s * s < math.inf:
+            raise ValueError(f"data-matrix scale sum w (|u|^2 + |v|^2) = {s:.3g} "
+                             "overflows; scale sigma up")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sigma", sigma)
@@ -158,55 +164,80 @@ def sample_synthetic(cfg, rng=None):
 CSV_FIELDS = ["ux", "uy", "uz", "vx", "vy", "vz", "sigma"]
 
 
-class CorrespondenceParseError(ValueError):
-    """Raised with a 1-based line number when a correspondence CSV is malformed."""
+class InputError(ValueError):
+    """Bad outside input (file, line or config key), named in the message; the CLI exits 2.
 
-    def __init__(self, line, message):
-        super().__init__(f"line {line}: {message}")
+    `line` is the 1-based line of the file the error points into, or None.
+    """
+
+    def __init__(self, message, line=None):
+        super().__init__(message)
         self.line = line
 
 
-def parse_csv_floats(lineno, row, fields):
-    """One CSV data row as finite floats, one per named field."""
-    if len(row) != len(fields):
-        raise CorrespondenceParseError(lineno, f"expected {len(fields)} columns, got {len(row)}")
-    try:
-        vals = [float(f) for f in row]
-    except ValueError as exc:
-        raise CorrespondenceParseError(lineno, str(exc)) from None
-    if not all(map(math.isfinite, vals)):
-        name, val = next((n, x) for n, x in zip(fields, vals) if not math.isfinite(x))
-        raise CorrespondenceParseError(lineno, f"{name} must be finite, got {val}")
-    return vals
+# The readers' error type before InputError; callers that catch it keep working.
+CorrespondenceParseError = InputError
+
+
+def _read_csv_table(path, headers, row_problem):
+    """(header, rows) of a CSV file, each row one finite float per header field.
+
+    Blank lines and lines starting with `#` are skipped; the first other
+    line is the header, which must be one of `headers`. `row_problem(vals)`
+    returns what is wrong with a data row, or None. Every fault raises
+    InputError naming the file and the line.
+    """
+    def fail(line, problem):
+        raise InputError(f"{path}: line {line}: {problem}", line)
+
+    header, rows = None, []
+    with open(path, newline="") as fh:
+        try:
+            for line, row in enumerate(csv.reader(fh), start=1):
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                if header is None:
+                    header = [f.strip() for f in row]
+                    if header not in headers:
+                        expected = " or ".join(map(",".join, headers))
+                        fail(line, f"expected header {expected}, got {','.join(header)}")
+                    continue
+                if len(row) != len(header):
+                    fail(line, f"expected {len(header)} columns, got {len(row)}")
+                try:
+                    vals = [float(f) for f in row]
+                except ValueError as exc:
+                    fail(line, exc)
+                if not all(map(math.isfinite, vals)):
+                    name, x = next((n, x) for n, x in zip(header, vals) if not math.isfinite(x))
+                    fail(line, f"{name} must be finite, got {x}")
+                problem = row_problem(vals)
+                if problem:
+                    fail(line, problem)
+                rows.append(vals)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}: not a CSV text file: {exc}") from None
+    if header is None:
+        raise InputError(f"{path}: line 1: missing header row", 1)
+    return header, rows
+
+
+def _sigma_problem(vals):
+    sigma = vals[6]
+    if sigma <= 0:
+        return f"sigma must be > 0, got {sigma}"
+    if sigma * sigma == 0.0 or not math.isfinite(1.0 / (sigma * sigma)):
+        return f"sigma {sigma} is too small: weight 1/sigma^2 is not finite"
 
 
 def read_correspondences_csv(path):
     """Parse a correspondence CSV (header ux,uy,uz,vx,vy,vz,sigma)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [f.strip() for f in row]
-                if header != CSV_FIELDS:
-                    raise CorrespondenceParseError(
-                        lineno, f"expected header {','.join(CSV_FIELDS)}, got {','.join(header)}")
-                continue
-            vals = parse_csv_floats(lineno, row, CSV_FIELDS)
-            sigma = vals[6]
-            if sigma <= 0:
-                raise CorrespondenceParseError(lineno, f"sigma must be > 0, got {sigma}")
-            if sigma * sigma == 0.0 or not math.isfinite(1.0 / (sigma * sigma)):
-                raise CorrespondenceParseError(
-                    lineno, f"sigma {sigma} is too small: weight 1/sigma^2 is not finite")
-            rows.append(vals)
-        if header is None:
-            raise CorrespondenceParseError(1, "missing header row")
+    _, rows = _read_csv_table(path, [CSV_FIELDS], _sigma_problem)
     data = np.array(rows, dtype=float).reshape(-1, 7)
-    return Correspondences(u=data[:, 0:3], v=data[:, 3:6], sigma=data[:, 6])
+    try:
+        return Correspondences(u=data[:, 0:3], v=data[:, 3:6], sigma=data[:, 6])
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def write_correspondences_csv(path, c):

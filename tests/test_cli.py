@@ -1,4 +1,6 @@
+import io
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -117,6 +119,59 @@ def test_non_finite_or_negative_flag_exits_2(capsys, argv, flag):
     assert exc.value.code == 2
     assert f"argument {flag}:" in err
     assert "Traceback" not in err
+
+
+def _pickled_npz():
+    buf = io.BytesIO()
+    np.savez(buf, meta=np.array([{"format": nn.MODEL_FORMAT}], dtype=object))
+    return buf.getvalue()
+
+
+_TRAIN = ["--out", "{d}/out", "train", "{d}/cfg.json"]
+_DT_EVAL = ["--out", "{d}", "dt-eval", "{d}/m.npz"]
+_OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the data matrix overflows
+
+
+# files written to the test's directory "{d}", argv, exit code, text the error line must hold
+@pytest.mark.parametrize("files, argv, code, named", [
+    ({"cfg.json": '{"seed": -1}'}, _TRAIN, 2, "seed"),
+    ({"cfg.json": '{"epochs": 1.5}'}, _TRAIN, 2, "epochs"),
+    ({"cfg.json": '{"trials": 1.5}'}, _TRAIN, 2, "trials"),
+    ({"cfg.json": "[1, 2]"}, _TRAIN, 2, "cfg.json"),
+    ({"cfg.json": '{"head": []}'}, _TRAIN, 2, "head"),
+    ({"cfg.json": '{"head": "all", "loss": "quat"}'}, _TRAIN, 2, "loss 'quat'"),
+    ({"cfg.json": '{"hidden_widths": "ab"}'}, _TRAIN, 2, "hidden_widths"),
+    ({"cfg.json": '{"sigma": "x"}'}, _TRAIN, 2, "sigma"),
+    ({"cfg.json": '{"lr": 1e308, "head": "quat", "trials": 1}'}, _TRAIN, 1, "head quat"),
+    ({"cfg.json": '{"lr": 1e308, "head": "6d", "trials": 1}'}, _TRAIN, 1, "head 6d"),
+    ({"cfg.json": '{"lr": 1e308, "head": "A", "trials": 1}'}, _TRAIN, 1, "head A"),
+    ({"cfg.json": '{"head": "quat", "epochs": 0, "trials": 1}', "taken": ""},
+     ["--out", "{d}/taken", "train", "{d}/cfg.json"], 2, "taken"),
+    ({"pairs.csv": _OVERFLOW}, ["wahba", "{d}/pairs.csv"], 2, "pairs.csv"),
+    ({"pairs.csv": b"\xff\xfe\x00 not text"}, ["wahba", "{d}/pairs.csv"], 2, "pairs.csv"),
+    ({"m.npz": "PK\x03\x04 not a zip"}, _DT_EVAL, 2, "m.npz"),
+    ({"m.npz": ""}, _DT_EVAL, 2, "m.npz"),
+    ({"m.npz": _pickled_npz()}, _DT_EVAL, 2, "m.npz"),
+    ({}, ["wahba", "--synthetic", "--phi-max-deg", "200"], 2, "argument --phi-max-deg: "
+     "must be a finite number > 0 and <= 180, got '200'"),
+], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
+        "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A", "out-is-file",
+        "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled", "phi-max-200"])
+def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = cli.main([a.replace("{d}", str(tmp_path)) for a in argv])
+        except SystemExit as exc:  # argparse rejects the flag value itself, after its usage lines
+            got = exc.code
+    lines = capsys.readouterr().err.splitlines()
+    assert got == code
+    assert [l for l in lines if "error:" in l] == lines[-1:]
+    assert lines[-1].startswith("error: ") or "error: argument --" in lines[-1]
+    assert named in lines[-1]
+    assert "Traceback" not in "\n".join(lines) and not caught
 
 
 # -- wahba --------------------------------------------------------------------

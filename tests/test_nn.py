@@ -320,6 +320,38 @@ def test_train_config_range_checked(key, value):
         small_cfg(**{key: value})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("seed", 1.0), ("epochs", 1.5), ("trials", True), ("hidden_widths", "ab"),
+    ("hidden_widths", (64, 2.0)), ("lr", "x"), ("lr_range", "ab"), ("sigma", "x"),
+    ("phi_max_deg", None), ("head", []), ("head", 5),
+])
+def test_train_config_types_checked(key, value):
+    with pytest.raises(nn.InputError, match=key):
+        small_cfg(**{key: value})
+
+
+def test_train_config_rejects_quat_loss_with_sixd_head():
+    with pytest.raises(nn.InputError, match="loss 'quat'.*head '6d'"):
+        small_cfg(head="all", loss="quat")
+    assert small_cfg(head=["quat", "A"], loss="quat").heads() == ["quat", "A"]
+
+
+@pytest.mark.parametrize("bad", [[1, 2], "cfg", None])
+def test_train_config_from_dict_needs_an_object(bad):
+    with pytest.raises(nn.InputError, match="JSON object"):
+        nn.TrainConfig.from_dict(bad)
+
+
+def test_train_config_from_dict_defaults_yield_to_keys():
+    assert nn.TrainConfig.from_dict({"seed": 4}, seed=9).seed == 4
+    assert nn.TrainConfig.from_dict({}, seed=9).seed == 9
+
+
+def test_training_divergence_raises_naming_where():
+    with pytest.raises(FloatingPointError, match="head quat, trial 0, epoch 1, batch 1"):
+        nn.train_single(small_cfg(lr=1e308, head="quat"), "quat")
+
+
 def test_train_lr_zero_is_flat():
     res = nn.train_single(small_cfg(lr=0.0, epochs=4), "A")
     test_rows = [r for r in res.rows if r.split == "test"]
@@ -449,6 +481,17 @@ def test_model_save_load_roundtrip(tmp_path):
     for a, b in zip(net.params(), trial.net.params()):
         assert np.array_equal(a, b)
     assert nn.TrainConfig.from_dict(cfg_dict) == cfg
+
+
+def test_load_model_rejects_non_model_files(tmp_path):
+    net = nn.init_net(60, (8,), 10, np.random.default_rng(0))
+    net.weights[0][0, 0] = np.inf
+    nn.save_model(tmp_path / "inf.npz", net, "A", small_cfg())
+    (tmp_path / "text.npz").write_text("not a model")
+    np.savez(tmp_path / "other.npz", meta=np.frombuffer(b'{"format": "x"}', dtype=np.uint8))
+    for name, why in [("inf.npz", "not finite"), ("text.npz", "pickled"), ("other.npz", "format")]:
+        with pytest.raises(nn.InputError, match=f"{name}: not a so3sym-model-v1 file: .*{why}"):
+            nn.load_model(tmp_path / name)
 
 
 def test_dt_evaluate_report():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import so3sym
 from so3sym import so3, wahba
 from so3sym.symrep import DegenerateEigenspace
 from so3sym.wahba import Correspondences, SyntheticConfig, rng_for
@@ -89,6 +90,26 @@ def test_correspondences_reject_non_finite(field, bad):
 def test_correspondences_reject_non_finite_weight(sigma):
     with pytest.raises(ValueError, match="weight"):
         Correspondences(u=np.eye(3), v=np.eye(3), sigma=[1.0, sigma, 1.0])
+
+
+def test_correspondences_reject_overflowing_data_matrix():
+    with pytest.raises(ValueError, match="overflows"):
+        Correspondences(u=np.eye(3), v=np.eye(3), sigma=[1.0, 1e-154, 1.0])
+
+
+def test_large_accepted_weights_solve_like_unit_weights():
+    _, corr = wahba.sample_synthetic(SyntheticConfig(num_matches=20, sigma=0.01, phi_max=2.0, seed=5))
+    heavy = Correspondences(u=corr.u, v=corr.v, sigma=np.full(20, 1e-75))
+    unit = Correspondences(u=corr.u, v=corr.v, sigma=np.ones(20))
+    assert np.abs(wahba.solve_wahba(heavy) - wahba.solve_wahba(unit)).max() < 1e-12
+
+
+def test_csv_errors_are_input_errors_naming_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("ux,uy,uz,vx,vy,vz,sigma\n1,0,0,1,0,0\n")
+    with pytest.raises(so3sym.InputError, match=r"bad\.csv: line 2: expected 7 columns") as exc:
+        wahba.read_correspondences_csv(path)
+    assert exc.value.line == 2 and wahba.CorrespondenceParseError is so3sym.InputError
 
 
 def test_noiseless_recovery():
