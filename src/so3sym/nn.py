@@ -439,7 +439,7 @@ class TrainConfig:
             raise InputError(f"head must be 'all', one of {HEADS} or a non-empty list of them, "
                              f"got {self.head!r}")
         for name in h:
-            check_head_loss(name, self.loss)
+            _check_head_loss(name, self.loss)
         return list(h)
 
     @classmethod
@@ -466,7 +466,7 @@ class TrainConfig:
                 raise InputError(f"{path}: {exc}") from None
 
 
-def check_head_loss(head, loss):
+def _check_head_loss(head, loss):
     """Raise InputError when `loss` cannot train `head`."""
     if loss == "quat" and head == "6d":
         raise InputError("loss 'quat' is not differentiable through head '6d'; use chord or ang")
@@ -601,7 +601,7 @@ def evaluate(net, head, x, R_gt, where, gap_tol=DEFAULT_GAP_TOL):
 @np.errstate(over="ignore", invalid="ignore")  # divergence raises below, without warnings first
 def train_single(cfg, head, trial=0):
     """Train one head for one trial; returns a TrialResult. Divergence raises FloatingPointError."""
-    check_head_loss(head, cfg.loss)
+    _check_head_loss(head, cfg.loss)
     lr = cfg.lr
     if lr is None:
         lo, hi = cfg.lr_range
