@@ -33,7 +33,7 @@ CASES = {
     "avg_quat": ([["avg", "--method", "quat", "{golden}/quats.csv"]], ()),
     "grad_check_50": ([["grad-check", "--count", "50"]], ()),
     "train_all_chord": ([["--out", "{out}", "train", "{golden}/train_all_chord.json"]],
-                        ("results.csv",)),
+                        ("results.csv", "learning_curves.svg")),
     "train_quat_loss": ([["--out", "{out}", "train", "{golden}/train_quat_loss.json"]],
                         ("results.csv",)),
     "dt_eval_noise": ([["--out", "{out}", "train", "{golden}/train_dt_model.json", "--save-model"],
