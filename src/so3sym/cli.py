@@ -19,12 +19,12 @@ import sys
 
 import numpy as np
 
-from . import nn, svgplot
 from .averaging import chordal_mean, quat_mean
 from .so3 import canonicalize_quat, d_ang, d_chord, d_quat, quat_to_rot
 from .symrep import (A_to_theta, DegenerateEigenspace, EigenDecomp4, qcqp_forward,
                      qcqp_jacobian_theta, theta_to_A)
 from .wahba import (
+    CORRUPTIONS,
     InputError,
     SyntheticConfig,
     _read_csv_table,
@@ -148,6 +148,8 @@ def _write_csv(path, schema, header, rows):
 
 
 def cmd_train(args):
+    from . import nn, svgplot
+
     cfg = nn.TrainConfig.from_json(args.config, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     result = nn.train_experiment(cfg)
@@ -179,6 +181,8 @@ def cmd_train(args):
 
 
 def cmd_dt_eval(args):
+    from . import nn
+
     net, head, cfg_dict = nn.load_model(args.model)
     cfg = nn.TrainConfig.from_dict(cfg_dict)
     if head != "A":
@@ -304,7 +308,7 @@ def build_parser():
 
     d = sub.add_parser("dt-eval", help="dispersion-threshold OOD evaluation of a trained model")
     d.add_argument("model", help="model .npz path (symmetric-matrix head)")
-    d.add_argument("--corruption", choices=nn.CORRUPTIONS, default="noise")
+    d.add_argument("--corruption", choices=CORRUPTIONS, default="noise")
     d.add_argument("--q", type=_bounded(float, 0, lo_open=True), default=0.75,
                    help="training quantile for the threshold (> 0; >= 1 keeps everything)")
     d.add_argument("--mix", type=_bounded(int, 1), default=200, help="test mix size (50%% corrupted)")

@@ -29,13 +29,14 @@ import numpy as np
 from . import so3
 from .symrep import (DEFAULT_GAP_TOL, DegenerateEigenspace, qcqp_forward, qcqp_vjp,
                      theta_to_A, theta_to_A_adjoint)
-from .wahba import InputError, rng_for
+from .wahba import CORRUPTIONS, InputError, rng_for
 
 HEADS = ("quat", "6d", "A")
 LOSSES = ("quat", "chord", "ang")
 HEAD_DIMS = {"quat": 4, "6d": 6, "A": 10}
 
 LEAKY_SLOPE = 0.01
+ACTIVATIONS = ("linear", "leaky_relu")
 
 # Substream tags hung off (seed, trial) for independent draws.
 _STREAM_INIT = 0
@@ -432,12 +433,13 @@ class TrainConfig:
         self.heads()
 
     def heads(self):
-        """The heads to train, in order; raises InputError on a bad head or head/loss pair."""
+        """The heads to train, in order; InputError on a bad or repeated head or head/loss pair."""
         h = self.head
         h = list(HEADS) if h == "all" else [h] if isinstance(h, str) else h
-        if not (isinstance(h, (list, tuple)) and h and all(name in HEADS for name in h)):
-            raise InputError(f"head must be 'all', one of {HEADS} or a non-empty list of them, "
-                             f"got {self.head!r}")
+        if not (isinstance(h, (list, tuple)) and h and all(name in HEADS for name in h)
+                and len(set(h)) == len(h)):
+            raise InputError(f"head must be 'all', one of {HEADS} or a non-empty list of them "
+                             f"without repeats, got {self.head!r}")
         for name in h:
             _check_head_loss(name, self.loss)
         return list(h)
@@ -504,9 +506,6 @@ class ExperimentResult:
 
     def rows(self):
         return [r for t in self.trials for r in t.rows]
-
-
-CORRUPTIONS = ("none", "noise", "shuffle", "zero")
 
 
 def reference_vectors(m):
@@ -792,8 +791,31 @@ def save_model(path, net, head, config):
     np.savez(path, **arrays)
 
 
+def _check_model(net, head, cfg):
+    """Raise ValueError unless the layers chain from 6 * matches_per_rotation to the head's
+    width, with one known activation each."""
+    if head not in HEADS:
+        raise ValueError(f"head {head!r} is not one of {HEADS}")
+    if not net.weights:
+        raise ValueError("no layers")
+    width, what = 6 * cfg.matches_per_rotation, "6 * matches_per_rotation"
+    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
+        if W.ndim != 2 or W.shape[1] != width or b.shape != W.shape[:1]:
+            raise ValueError(f"W{l} {W.shape} and b{l} {b.shape} do not take input width {width} "
+                             f"({what})")
+        width, what = W.shape[0], f"rows of W{l}"
+    if width != HEAD_DIMS[head]:
+        raise ValueError(f"output width {width} does not fit head {head!r}, which needs "
+                         f"{HEAD_DIMS[head]}")
+    acts = net.activations
+    if not (isinstance(acts, list) and len(acts) == len(net.weights)
+            and all(a in ACTIVATIONS for a in acts)):
+        raise ValueError(f"activations must be one of {ACTIVATIONS} per layer, got {acts!r}")
+
+
 def load_model(path):
-    """Returns (net, head, config_dict); a file that is not a model raises InputError."""
+    """Returns (net, head, config_dict); raises InputError naming the file unless it is a
+    finite model whose config is valid and whose layers fit that config and the head."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:  # np.load(path) leaks it on a bad zip
             meta = json.loads(bytes(data["meta"]).decode())
@@ -806,6 +828,8 @@ def load_model(path):
                 l += 1
         if not all(np.isfinite(a).all() for a in weights + biases):
             raise ValueError("weights are not finite")
-        return DenseNet(weights, biases, meta["activations"]), meta["head"], meta["config"]
+        net = DenseNet(weights, biases, meta["activations"])
+        _check_model(net, meta["head"], TrainConfig.from_dict(meta["config"]))
+        return net, meta["head"], meta["config"]
     except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         raise InputError(f"{path}: not a {MODEL_FORMAT} file: {exc}") from None

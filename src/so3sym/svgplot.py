@@ -4,7 +4,7 @@ No plotting dependency: plots are hand-assembled SVG/XML with the plotted
 numbers embedded as comments so the artifacts stay diffable.
 """
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -66,7 +66,8 @@ def render_learning_curves(rows, path, split="test", title="Test angular error")
         f"<!-- split={split} epochs={epochs[0]}..{epochs[-1]} heads={','.join(heads)} -->",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="22" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{escape(title)} ({escape(split)})</text>',
+        f'font-family="sans-serif">{escape(title, quote=False)} '
+        f'({escape(split, quote=False)})</text>',
     ]
 
     # Axes with a handful of ticks.
@@ -104,7 +105,7 @@ def render_learning_curves(rows, path, split="test", title="Test angular error")
         lx = WIDTH - MARGIN["right"] + 16
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 28}" y="{ly + 4}" font-size="12" '
-                     f'font-family="sans-serif">{escape(head)}</text>')
+                     f'font-family="sans-serif">{escape(head, quote=False)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -161,6 +161,10 @@ def sample_synthetic(cfg, rng=None):
     return R_hat, Correspondences(u=u, v=v, sigma=sigma)
 
 
+# Test-time corruptions of a correspondence set; nn.sample_batch applies them.
+CORRUPTIONS = ("none", "noise", "shuffle", "zero")
+
+
 CSV_FIELDS = ["ux", "uy", "uz", "vx", "vy", "vz", "sigma"]
 
 

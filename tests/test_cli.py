@@ -1,7 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,9 @@ def run(capsys, *argv):
     code = cli.main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def parse_kv(stdout):
@@ -127,6 +134,15 @@ def _pickled_npz():
     return buf.getvalue()
 
 
+def _model_npz(in_dim=60, out_dim=10, activations=None):
+    """Bytes of a saved A-head model with the default config, which takes input width 60."""
+    net = nn.init_net(in_dim, (8,), out_dim, np.random.default_rng(0))
+    net.activations = activations or net.activations
+    buf = io.BytesIO()
+    nn.save_model(buf, net, "A", nn.TrainConfig())
+    return buf.getvalue()
+
+
 _TRAIN = ["--out", "{d}/out", "train", "{d}/cfg.json"]
 _DT_EVAL = ["--out", "{d}", "dt-eval", "{d}/m.npz"]
 _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the data matrix overflows
@@ -140,6 +156,8 @@ _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the dat
     ({"cfg.json": "[1, 2]"}, _TRAIN, 2, "cfg.json"),
     ({"cfg.json": '{"head": []}'}, _TRAIN, 2, "head"),
     ({"cfg.json": '{"head": "all", "loss": "quat"}'}, _TRAIN, 2, "loss 'quat'"),
+    ({"cfg.json": '{"head": ["quat", "quat"], "epochs": 1, "trials": 1, "hidden_widths": [16], '
+                  '"test_rotations": 20}'}, _TRAIN, 2, "head"),
     ({"cfg.json": '{"hidden_widths": "ab"}'}, _TRAIN, 2, "hidden_widths"),
     ({"cfg.json": '{"sigma": "x"}'}, _TRAIN, 2, "sigma"),
     ({"cfg.json": '{"lr": 1e308, "head": "quat", "trials": 1}'}, _TRAIN, 1, "head quat"),
@@ -152,11 +170,15 @@ _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the dat
     ({"m.npz": "PK\x03\x04 not a zip"}, _DT_EVAL, 2, "m.npz"),
     ({"m.npz": ""}, _DT_EVAL, 2, "m.npz"),
     ({"m.npz": _pickled_npz()}, _DT_EVAL, 2, "m.npz"),
+    ({"m.npz": _model_npz(in_dim=30)}, _DT_EVAL, 2, "m.npz"),
+    ({"m.npz": _model_npz(out_dim=4)}, _DT_EVAL, 2, "m.npz"),
+    ({"m.npz": _model_npz(activations=["relu", "linear"])}, _DT_EVAL, 2, "m.npz"),
     ({}, ["wahba", "--synthetic", "--phi-max-deg", "200"], 2, "argument --phi-max-deg: "
      "must be a finite number > 0 and <= 180, got '200'"),
 ], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
-        "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A", "out-is-file",
-        "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled", "phi-max-200"])
+        "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
+        "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
+        "model-input-width", "model-output-width", "model-activation", "phi-max-200"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
@@ -172,6 +194,27 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, nam
     assert lines[-1].startswith("error: ") or "error: argument --" in lines[-1]
     assert named in lines[-1]
     assert "Traceback" not in "\n".join(lines) and not caught
+
+
+_LOADED = """
+import json, sys
+from so3sym import cli
+codes = [cli.main(["avg", "tests/golden/quats.csv"])]
+loaded = sorted(m for m in sys.argv[2:] if m in sys.modules)
+codes.append(cli.main(["--out", sys.argv[1], "train", sys.argv[1] + "/cfg.json"]))
+print(json.dumps([codes, loaded, "so3sym.nn" in sys.modules]))
+"""
+
+
+def test_solve_commands_leave_training_stack_unloaded(tmp_path):
+    """A fresh `avg` process loads neither nn, svgplot nor urllib; `train` then loads nn."""
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"head": "quat", "epochs": 0, "trials": 1, "hidden_widths": [4], "test_rotations": 5}))
+    heavy = ["so3sym.nn", "so3sym.svgplot", "urllib.request", "http.client", "xml.sax"]
+    proc = subprocess.run([sys.executable, "-c", _LOADED, str(tmp_path), *heavy], cwd=REPO,
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], [], True]
 
 
 # -- wahba --------------------------------------------------------------------

@@ -494,6 +494,39 @@ def test_load_model_rejects_non_model_files(tmp_path):
             nn.load_model(tmp_path / name)
 
 
+@pytest.mark.parametrize("in_dim, out_dim, head, activations, why", [
+    (30, 10, "A", None, r"W0 \(8, 30\) .* input width 60 \(6 \* matches_per_rotation\)"),
+    (60, 4, "A", None, "output width 4 does not fit head 'A', which needs 10"),
+    (60, 4, "quat", ["leaky_relu"], "activations must be one of"),
+    (60, 4, "quat", ["relu", "linear"], "activations must be one of"),
+    (60, 4, "B", None, "head 'B' is not one of"),
+], ids=["input-width", "output-width", "activation-count", "activation-unknown", "head-unknown"])
+def test_load_model_checks_layers_against_config(tmp_path, in_dim, out_dim, head, activations, why):
+    net = nn.init_net(in_dim, (8,), out_dim, np.random.default_rng(0))
+    net.activations = activations or net.activations
+    nn.save_model(tmp_path / "m.npz", net, head, small_cfg())
+    with pytest.raises(nn.InputError, match=f"m.npz: .*{why}"):
+        nn.load_model(tmp_path / "m.npz")
+
+
+def test_load_model_checks_layer_chain(tmp_path):
+    net = nn.init_net(60, (8, 8), 10, np.random.default_rng(0))
+    net.weights[1] = net.weights[1][:, :5]
+    nn.save_model(tmp_path / "m.npz", net, "A", small_cfg())
+    with pytest.raises(nn.InputError, match=r"W1 \(8, 5\) .* input width 8 \(rows of W0\)"):
+        nn.load_model(tmp_path / "m.npz")
+    net = nn.init_net(60, (8,), 10, np.random.default_rng(0))
+    net.biases[0] = net.biases[0][:7]
+    nn.save_model(tmp_path / "m.npz", net, "A", small_cfg())
+    with pytest.raises(nn.InputError, match=r"b0 \(7,\)"):
+        nn.load_model(tmp_path / "m.npz")
+
+
+def test_train_config_rejects_repeated_head():
+    with pytest.raises(nn.InputError, match="head must be .* without repeats"):
+        small_cfg(head=["quat", "A", "quat"])
+
+
 def test_dt_evaluate_report():
     cfg = small_cfg(epochs=6, phi_max_deg=180.0)
     trial = nn.train_single(cfg, "A")
