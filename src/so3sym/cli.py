@@ -9,6 +9,9 @@ avg (rotation averaging of a quaternion file).
 Exit codes: 0 success, 1 check failure, degenerate problem or diverged
 training, 2 input error. `main` alone maps errors to them.
 All randomness derives from --seed; runs are bit-deterministic.
+
+`nn` and `svgplot` are imported inside the commands that use them, so a
+fresh wahba, avg or grad-check process starts without the training stack.
 """
 
 import argparse

@@ -522,11 +522,6 @@ def test_load_model_checks_layer_chain(tmp_path):
         nn.load_model(tmp_path / "m.npz")
 
 
-def test_train_config_rejects_repeated_head():
-    with pytest.raises(nn.InputError, match="head must be .* without repeats"):
-        small_cfg(head=["quat", "A", "quat"])
-
-
 def test_dt_evaluate_report():
     cfg = small_cfg(epochs=6, phi_max_deg=180.0)
     trial = nn.train_single(cfg, "A")
