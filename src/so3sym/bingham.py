@@ -76,6 +76,28 @@ def dispersion_trace(A):
     return _dispersion_trace(np.linalg.eigvalsh(_lapack_input(A)))
 
 
+def _quantile(values, q):
+    """np.quantile(values, q) (method "linear") of a nonempty 1-D float array, bit for bit.
+
+    q is in [0, 1], or an array of such. The virtual index is (n - 1) q; past the
+    last index numpy reads the last value and measures the weight from index -1.
+    The partition takes numpy's own kth set, so even a tie of -0.0 and 0.0 resolves
+    as numpy's does (a plain sort can swap them). The lerp interpolates down from the
+    upper neighbour where the weight is >= 0.5, as numpy's does. np.quantile itself
+    imports numpy.ma on first use, through np.unique (~20 ms of a fresh process).
+    """
+    n = len(values)
+    idx = (n - 1) * np.asarray(q, dtype=float)
+    i = np.where(idx >= n - 1, -1, np.floor(idx)).astype(np.intp)
+    j = np.where(i < 0, i, i + 1)
+    s = np.partition(values, sorted({0, -1, *i.ravel().tolist(), *j.ravel().tolist()}))
+    if np.isnan(s[-1]):  # numpy's answer for a sample holding nan
+        return np.full(np.shape(q), np.nan)
+    a, b, t = s[i], s[j], idx - i
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+
+
 def dt_fit(train_traces, q):
     """Threshold = q-quantile (linear interpolation) of the training traces."""
     traces = np.asarray(train_traces, dtype=float).ravel()
@@ -83,7 +105,7 @@ def dt_fit(train_traces, q):
         raise ValueError("dt_fit requires a nonempty list of traces")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"quantile q must be in (0, 1], got {q}")
-    return float(np.quantile(traces, q, method="linear"))
+    return float(_quantile(traces, q))
 
 
 def dt_classify(trace, threshold):

@@ -232,8 +232,23 @@ def _quat_problem(vals):
 
 
 def read_quaternions_csv(path):
-    """Parse a quaternion CSV (header x,y,z,w with optional weight column)."""
-    header, rows = _read_csv_table(path, QUAT_HEADERS, _quat_problem)
+    """Parse a quaternion CSV (header x,y,z,w with optional weight column).
+
+    The weights' running sum s bounds the inertia matrix's 16 entries, which the
+    readout squares: the line where 16 s^2 overflows is an input error.
+    """
+    total = 0.0
+
+    def problem(vals):
+        nonlocal total
+        bad = _quat_problem(vals)
+        if bad or len(vals) == 4:
+            return bad
+        total += vals[4]
+        if not 16.0 * total * total < math.inf:
+            return f"weights sum to {total:.3g}, which overflows the inertia matrix; scale them down"
+
+    header, rows = _read_csv_table(path, QUAT_HEADERS, problem)
     data = np.array(rows, dtype=float).reshape(-1, len(header))
     weights = data[:, 4].copy() if len(header) == 5 and len(data) else None
     return np.ascontiguousarray(data[:, :4]), weights

@@ -27,6 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import so3
+from .bingham import _quantile, dt_fit
 from .symrep import (DEFAULT_GAP_TOL, DegenerateEigenspace, qcqp_forward, qcqp_vjp,
                      theta_to_A, theta_to_A_adjoint)
 from .wahba import CORRUPTIONS, InputError, rng_for
@@ -37,6 +38,13 @@ HEAD_DIMS = {"quat": 4, "6d": 6, "A": 10}
 
 LEAKY_SLOPE = 0.01
 ACTIVATIONS = ("linear", "leaky_relu")
+
+# Inclusive (lo, hi) of the integer config keys; hidden_widths bounds each entry. The upper
+# bounds keep a typo from asking for gigabytes: one key at its bound, the others at their
+# defaults, peaks under 200 MB of memory per epoch (several keys at their bounds still can).
+SIZE_BOUNDS = {"epochs": (0, 10_000), "trials": (1, 1000), "batch_rotations": (1, 10_000),
+               "matches_per_rotation": (1, 1000), "test_rotations": (1, 10_000),
+               "batches_per_epoch": (1, 1000), "hidden_widths": (1, 1024)}
 
 # Substream tags hung off (seed, trial) for independent draws.
 _STREAM_INIT = 0
@@ -413,14 +421,17 @@ class TrainConfig:
         def number(x, kind=numbers.Real):  # bool is an int, but not a number here
             return isinstance(x, kind) and not isinstance(x, bool)
 
-        for key, lo in (("seed", 0), ("epochs", 0), ("trials", 1), ("batch_rotations", 1),
-                        ("matches_per_rotation", 1), ("test_rotations", 1), ("batches_per_epoch", 1)):
-            x = getattr(self, key)
-            require(key, number(x, numbers.Integral) and x >= lo, f"an integer >= {lo}")
+        def integer(x, lo, hi=np.inf):
+            return number(x, numbers.Integral) and lo <= x <= hi
+
+        require("seed", integer(self.seed, 0), "an integer >= 0")
+        for key, (lo, hi) in SIZE_BOUNDS.items():
+            if key != "hidden_widths":
+                require(key, integer(getattr(self, key), lo, hi), f"an integer in [{lo}, {hi}]")
         widths, lo_hi = self.hidden_widths, self.lr_range
+        lo, hi = SIZE_BOUNDS["hidden_widths"]
         require("hidden_widths", isinstance(widths, (list, tuple))
-                and all(number(w, numbers.Integral) and w >= 1 for w in widths),
-                "a list of integers >= 1")
+                and all(integer(w, lo, hi) for w in widths), f"a list of integers in [{lo}, {hi}]")
         require("lr", self.lr is None or number(self.lr) and 0.0 <= self.lr < np.inf,
                 "null or finite and >= 0")
         require("lr_range", isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
@@ -578,7 +589,7 @@ def _stats_row(trial, seed, lr, epoch, split, head, errs_deg):
         mean = med = p10 = p90 = float("nan")
     else:
         mean = float(np.mean(errs))
-        p10, med, p90 = (float(p) for p in np.percentile(errs, [10, 50, 90]))
+        p10, med, p90 = (float(p) for p in _quantile(errs, (0.1, 0.5, 0.9)))
     return EpochRow(trial, seed, lr, epoch, split, head,
                     mean_deg=mean, median_deg=med, p10_deg=p10, p90_deg=p90)
 
@@ -720,8 +731,6 @@ def dt_evaluate(net, cfg, q, corruption, rng, n_mix=200, n_reference=1000):
     distribution). Half the n_mix test samples are corrupted; q >= 1
     disables rejection entirely (every sample kept, precision undefined).
     """
-    from .bingham import dt_fit
-
     if corruption not in CORRUPTIONS:
         raise ValueError(f"unknown corruption {corruption!r}; choose from {CORRUPTIONS}")
     n_corrupt = 0 if corruption == "none" else n_mix // 2

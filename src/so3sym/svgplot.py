@@ -4,13 +4,31 @@ No plotting dependency: plots are hand-assembled SVG/XML with the plotted
 numbers embedded as comments so the artifacts stay diffable.
 """
 
-from html import escape
+import math
 
 import numpy as np
 
 WIDTH, HEIGHT = 720, 440
 MARGIN = {"left": 64, "right": 160, "top": 40, "bottom": 48}
 HEAD_COLORS = {"quat": "#d62728", "6d": "#1f77b4", "A": "#2ca02c"}
+
+
+def _escape(text):
+    """Escape &, < and > for SVG text content."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _median(xs):
+    """np.median of a nonempty list of floats, bit for bit: the middle value, or the mean of
+    the middle pair; nan if any is nan. The partition takes numpy's kth list, and the mean
+    adds from +0.0 as np.mean does, so signed zeros come out as numpy's do. np.median
+    itself imports numpy.ma on first use.
+    """
+    m = len(xs) // 2
+    part = np.partition(np.asarray(xs, dtype=float), [m, -1] if len(xs) % 2 else [m - 1, m, -1])
+    if np.isnan(part[-1]):
+        return math.nan
+    return 0.0 + float(part[m]) if len(xs) % 2 else (0.0 + float(part[m - 1]) + float(part[m])) / 2
 
 
 def _scale(lo, hi, out_lo, out_hi):
@@ -49,9 +67,9 @@ def render_learning_curves(rows, path, split="test", title="Test angular error")
         med, p10, p90 = [], [], []
         for e in epochs:
             sub = [r for r in rows if r.head == head and r.epoch == e]
-            med.append(float(np.median([r.median_deg for r in sub])))
-            p10.append(float(np.median([r.p10_deg for r in sub])))
-            p90.append(float(np.median([r.p90_deg for r in sub])))
+            med.append(_median([r.median_deg for r in sub]))
+            p10.append(_median([r.p10_deg for r in sub]))
+            p90.append(_median([r.p90_deg for r in sub]))
         series[head] = (med, p10, p90)
 
     y_max = max(max(p90) for _, _, p90 in series.values()) * 1.05 + 1e-9
@@ -66,8 +84,8 @@ def render_learning_curves(rows, path, split="test", title="Test angular error")
         f"<!-- split={split} epochs={epochs[0]}..{epochs[-1]} heads={','.join(heads)} -->",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="22" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{escape(title, quote=False)} '
-        f'({escape(split, quote=False)})</text>',
+        f'font-family="sans-serif">{_escape(title)} '
+        f'({_escape(split)})</text>',
     ]
 
     # Axes with a handful of ticks.
@@ -105,7 +123,7 @@ def render_learning_curves(rows, path, split="test", title="Test angular error")
         lx = WIDTH - MARGIN["right"] + 16
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 28}" y="{ly + 4}" font-size="12" '
-                     f'font-family="sans-serif">{escape(head, quote=False)}</text>')
+                     f'font-family="sans-serif">{_escape(head)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

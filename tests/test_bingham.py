@@ -114,6 +114,30 @@ def test_dt_fit_golden():
     assert np.isclose(bingham.dt_fit([-4, -3, -2, -1], 0.75), -1.75)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_quantile_equals_numpy_bit_for_bit():
+    """bingham._quantile is np.quantile(method="linear"), ties and signed zeros included."""
+    rng = np.random.default_rng(11)
+    qs = np.array([1e-9, 0.25, 0.75, 0.9, 1.0])
+    for n in [*range(1, 61), 300, 2000]:
+        for x in (rng.standard_normal(n), np.round(rng.standard_normal(n), 1),
+                  rng.integers(0, 3, n).astype(float), rng.choice([-0.0, 0.0, 1.0], n)):
+            assert _bits(bingham._quantile(x, qs)) == _bits(np.quantile(x, qs)), (n, x)
+            for q in qs:
+                assert _bits(bingham._quantile(x, float(q))) == _bits(np.quantile(x, float(q)))
+            # The p10/p50/p90 of nn's per-epoch rows.
+            assert (_bits(bingham._quantile(x, (0.1, 0.5, 0.9)))
+                    == _bits(np.percentile(x, [10, 50, 90])))
+
+
+def test_quantile_of_a_sample_with_nan_is_nan():
+    assert np.isnan(bingham._quantile(np.array([1.0, np.nan, 2.0]), 0.5))
+    assert np.isnan(bingham._quantile(np.array([np.nan]), (0.1, 0.9))).all()
+
+
 def test_dt_fit_errors():
     with pytest.raises(ValueError):
         bingham.dt_fit([], 0.5)

@@ -146,6 +146,7 @@ def _model_npz(in_dim=60, out_dim=10, activations=None):
 _TRAIN = ["--out", "{d}/out", "train", "{d}/cfg.json"]
 _DT_EVAL = ["--out", "{d}", "dt-eval", "{d}/m.npz"]
 _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the data matrix overflows
+_QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows the inertia matrix
 
 
 # files written to the test's directory "{d}", argv, exit code, text the error line must hold
@@ -175,10 +176,15 @@ _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the dat
     ({"m.npz": _model_npz(activations=["relu", "linear"])}, _DT_EVAL, 2, "m.npz"),
     ({}, ["wahba", "--synthetic", "--phi-max-deg", "200"], 2, "argument --phi-max-deg: "
      "must be a finite number > 0 and <= 180, got '200'"),
+    ({"cfg.json": '{"matches_per_rotation": 1000000000}'}, _TRAIN, 2, "matches_per_rotation"),
+    ({"cfg.json": '{"hidden_widths": [128, 100000]}'}, _TRAIN, 2, "hidden_widths"),
+    ({"q.csv": _QUATS + "1,0,0,0,1e160\n"}, ["avg", "{d}/q.csv"], 2, "q.csv: line 3: weights"),
+    ({"q.csv": _QUATS + "1,0,0,0,1e308\n"}, ["avg", "{d}/q.csv"], 2, "q.csv: line 3: weights"),
 ], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
         "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
         "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
-        "model-input-width", "model-output-width", "model-activation", "phi-max-200"])
+        "model-input-width", "model-output-width", "model-activation", "phi-max-200",
+        "matches-over-bound", "width-over-bound", "avg-weight-1e160", "avg-weight-1e308"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
@@ -215,6 +221,31 @@ def test_solve_commands_leave_training_stack_unloaded(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(REPO / "src")},
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], [], True]
+
+
+_MA_FREE = """
+import json, sys
+import numpy
+bare = "numpy.ma" in sys.modules
+from so3sym import cli
+d = sys.argv[1]
+codes = [cli.main(["--out", d, "train", d + "/cfg.json", "--save-model"]),
+         cli.main(["--out", d, "dt-eval", d + "/model_A_t0.npz"])]
+print(json.dumps([bare, codes, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_train_and_dt_eval_leave_numpy_ma_unloaded(tmp_path):
+    """np.percentile, np.median and np.quantile import numpy.ma; train and dt-eval call none."""
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"head": "all", "epochs": 1, "trials": 2, "hidden_widths": [4], "test_rotations": 5}))
+    proc = subprocess.run([sys.executable, "-c", _MA_FREE, str(tmp_path)], cwd=REPO,
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                          capture_output=True, text=True, check=True)
+    bare, codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    if bare:
+        pytest.skip("a bare `import numpy` already loads numpy.ma")
+    assert codes == [0, 0] and not loaded
 
 
 # -- wahba --------------------------------------------------------------------
@@ -495,6 +526,22 @@ def test_avg_weights_rejected_for_quat_method(tmp_path, capsys):
     write_quats(path, so3.random_quats(2, rng), weights=[1.0, 2.0])
     code, _, err = run(capsys, "avg", path, "--method", "quat")
     assert code == 2
+
+
+def test_avg_large_accepted_weights_average_like_small_ones(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    q, w = so3.random_quats(4, rng), [1.0, 2.0, 3.0, 4.0]
+    small, big = tmp_path / "small.csv", tmp_path / "big.csv"
+    write_quats(small, q, weights=w)
+    write_quats(big, q, weights=[1e152 * x for x in w])  # sum 1e153, just under the bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means = []
+        for path in (small, big):
+            code, out, _ = run(capsys, "avg", path)
+            assert code == 0
+            means.append(np.array([float(t) for t in parse_kv(out)["mean"].split()]))
+    assert np.abs(means[0] - means[1]).max() < 1e-12
 
 
 def test_avg_degenerate(tmp_path, capsys):

@@ -330,6 +330,15 @@ def test_train_config_types_checked(key, value):
         small_cfg(**{key: value})
 
 
+@pytest.mark.parametrize("key", list(nn.SIZE_BOUNDS))
+def test_train_config_size_keys_have_upper_bounds(key):
+    _, hi = nn.SIZE_BOUNDS[key]
+    value = (lambda x: (64, x)) if key == "hidden_widths" else (lambda x: x)
+    assert small_cfg(**{key: value(hi)})
+    with pytest.raises(nn.InputError, match=rf"{key} must be .*, {hi}\]"):
+        small_cfg(**{key: value(hi + 1)})
+
+
 def test_train_config_rejects_quat_loss_with_sixd_head():
     with pytest.raises(nn.InputError, match="loss 'quat'.*head '6d'"):
         small_cfg(head="all", loss="quat")
