@@ -84,7 +84,7 @@ def _quantile(values, q):
     The partition takes numpy's own kth set, so even a tie of -0.0 and 0.0 resolves
     as numpy's does (a plain sort can swap them). The lerp interpolates down from the
     upper neighbour where the weight is >= 0.5, as numpy's does. np.quantile itself
-    imports numpy.ma on first use, through np.unique (~20 ms of a fresh process).
+    imports numpy.ma on first use (through np.unique), which training never needs.
     """
     n = len(values)
     idx = (n - 1) * np.asarray(q, dtype=float)

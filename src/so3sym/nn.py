@@ -40,8 +40,8 @@ LEAKY_SLOPE = 0.01
 ACTIVATIONS = ("linear", "leaky_relu")
 
 # Inclusive (lo, hi) of the integer config keys; hidden_widths bounds each entry. The upper
-# bounds keep a typo from asking for gigabytes: one key at its bound, the others at their
-# defaults, peaks under 200 MB of memory per epoch (several keys at their bounds still can).
+# bounds keep a typo from asking for gigabytes: with one key at its bound and the others at
+# their defaults, a one-epoch run peaks under 200 MB (several keys at their bounds still can).
 SIZE_BOUNDS = {"epochs": (0, 10_000), "trials": (1, 1000), "batch_rotations": (1, 10_000),
                "matches_per_rotation": (1, 1000), "test_rotations": (1, 10_000),
                "batches_per_epoch": (1, 1000), "hidden_widths": (1, 1024)}
