@@ -7,6 +7,8 @@ eigenvector). The quaternion-norm mean is the normalized sum after
 aligning signs to the first element.
 """
 
+import math
+
 import numpy as np
 
 from .so3 import canonicalize_quat
@@ -21,7 +23,11 @@ def _as_quats(quats):
 
 
 def inertia_matrix(quats, weights=None):
-    """Positive semi-definite sum_i w_i q_i q_i^T; weights default to 1."""
+    """Positive semi-definite sum_i w_i q_i q_i^T; weights default to 1.
+
+    The weight sum s bounds the 16 entries, which the readout squares: weights
+    whose 16 s^2 is not finite raise ValueError.
+    """
     q = _as_quats(quats)
     if weights is None:
         M = q.T @ q
@@ -31,6 +37,10 @@ def inertia_matrix(quats, weights=None):
             raise ValueError(f"length mismatch: {len(q)} quaternions, {len(w)} weights")
         if np.any(w < 0):
             raise ValueError("weights must be >= 0")
+        s = sum(w.tolist())  # Python floats overflow to inf without a RuntimeWarning
+        if not 16.0 * s * s < math.inf:
+            raise ValueError(f"weights sum to {s:.3g}, which leaves the inertia matrix "
+                             "non-finite; scale them down")
         M = (w[:, None] * q).T @ q
     return 0.5 * (M + M.T)
 

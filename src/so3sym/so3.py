@@ -156,10 +156,12 @@ def rot_to_quat(R):
 def skew(v):
     """3-vector -> cross-product matrix, skew(v) @ u = v x u."""
     v = _as_farray(v, "vector", (3,))
+    K = np.zeros(v.shape + (3,))
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    rows = [[zero, -z, y], [z, zero, -x], [-y, x, zero]]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    K[..., 0, 1], K[..., 0, 2] = -z, y
+    K[..., 1, 0], K[..., 1, 2] = z, -x
+    K[..., 2, 0], K[..., 2, 1] = -y, x
+    return K
 
 
 def exp_map(phi):

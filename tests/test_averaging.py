@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,21 @@ def test_quat_chordal_agree_on_tight_clusters():
 def test_quat_mean_empty():
     with pytest.raises(ValueError):
         averaging.quat_mean(np.zeros((0, 4)))
+
+
+@pytest.mark.parametrize("big", [1e160, 1e308])
+def test_chordal_mean_rejects_weights_that_overflow_the_inertia_matrix(big):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weights sum to"):
+            averaging.chordal_mean([[0, 0, 0, 1.0], [1.0, 0, 0, 0]], [1.0, big])
+
+
+def test_chordal_mean_large_accepted_weights_average_like_small_ones():
+    q = so3.random_quats(4, np.random.default_rng(51))
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        small = averaging.chordal_mean(q, w)
+        big = averaging.chordal_mean(q, 1e150 * w)
+    assert np.abs(small - big).max() < 1e-12

@@ -4,7 +4,8 @@ import pytest
 from so3sym import nn, so3, symrep
 from so3sym.symrep import DegenerateEigenspace
 
-from util import random_rotations
+from util import (adam_step_reference, backward_reference, forward_reference,
+                  random_rotations, sample_batch_reference)
 
 
 # -- dense net ----------------------------------------------------------------
@@ -647,3 +648,98 @@ def test_sixd_training_skips_rot_to_quat(monkeypatch):
     out = nn.head_forward("6d", [1.0, 0.2, -0.3, 0.1, 1.0, 0.4])
     assert calls == [(1, 3, 3)]
     assert np.array_equal(out.q, original(out.R[None])[0])
+
+
+# -- lean hot path against the out-of-place oracles ---------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _leaky_net_with_zero_preactivations(last):
+    """A leaky net on a batch where some pre-activations are exactly +0.0."""
+    rng = np.random.default_rng(40)
+    net = nn.init_net(12, (16, 8), 10, rng)
+    net.activations[-1] = last
+    net.weights[0][:3] = 0.0  # units 0-2 of layer 0: pre-activation = bias
+    net.biases[0][:2] = 0.0
+    net.biases[0][2] = -0.0
+    x = rng.standard_normal((9, 12))
+    x[0] = 0.0
+    x[1] = -0.0
+    return net, x
+
+
+@pytest.mark.parametrize("last", ["linear", "leaky_relu"])
+def test_forward_and_backward_equal_out_of_place_oracle(last):
+    net, x = _leaky_net_with_zero_preactivations(last)
+    raw, cache = nn.forward(net, x)
+    raw_ref, cache_ref = forward_reference(net, x)
+    assert _same_bits(raw, raw_ref)
+    assert any((z == 0).any() for _, z, _ in cache_ref)
+    for (a_in, a_out, act), (a_in_ref, z_ref, _) in zip(cache, cache_ref):
+        assert _same_bits(a_in, a_in_ref)
+        assert _same_bits(a_out, nn._act(z_ref.copy(), act))  # the cache holds outputs
+    g = np.random.default_rng(41).standard_normal(raw.shape)
+    g_before = g.copy()
+    grads = nn.backward(net, cache, g)
+    assert _same_bits(g, g_before)  # grad_raw is not written, even under a leaky last layer
+    for (dW, db), (dW_ref, db_ref) in zip(grads, backward_reference(net, cache_ref, g)):
+        assert _same_bits(dW, dW_ref) and _same_bits(db, db_ref)
+    raw1, cache1 = nn.forward(net, x[2])
+    assert _same_bits(raw1, forward_reference(net, x[2])[0])
+    for (dW, db), (dW_ref, db_ref) in zip(nn.backward(net, cache1, g[2]),
+                                          backward_reference(net, forward_reference(net, x[2])[1], g[2])):
+        assert _same_bits(dW, dW_ref) and _same_bits(db, db_ref)
+
+
+def test_backward_mask_from_outputs_equals_mask_from_preactivations():
+    # A matmul never yields -0.0, so these pre-activations are set by hand.
+    z = np.array([[2.5, -3.0, 0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, np.nan, -np.inf, np.inf]])
+    rng = np.random.default_rng(42)
+    net = nn.init_net(3, (z.shape[1],), 4, rng)
+    net.activations = ["leaky_relu", "leaky_relu"]
+    x = rng.standard_normal((1, 3))
+    a1 = np.maximum(z, 0.01 * z)
+    z2 = rng.standard_normal((1, 4))
+    z2[0, :2] = [0.0, -0.0]
+    g = rng.standard_normal((1, 4))
+    with np.errstate(invalid="ignore"):
+        got = nn.backward(net, [(x, a1, "leaky_relu"), (a1, np.maximum(z2, 0.01 * z2), "leaky_relu")], g)
+        ref = backward_reference(net, [(x, z, "leaky_relu"), (a1, z2, "leaky_relu")], g)
+    for (dW, db), (dW_ref, db_ref) in zip(got, ref):
+        assert _same_bits(dW, dW_ref) and _same_bits(db, db_ref)
+
+
+def test_adam_step_equals_out_of_place_oracle_and_leaves_inputs_alone():
+    rng = np.random.default_rng(43)
+    params = [rng.standard_normal((5, 3)), rng.standard_normal(5)]
+    state = nn.adam_init(params, lr=3e-3)
+    state_ref = nn.adam_init(params, lr=3e-3)
+    params_ref = params
+    for step in range(10):
+        grads = [rng.standard_normal(p.shape) * (0.0 if step == 3 else 10.0 ** -step) for p in params]
+        before = [a.copy() for a in params + grads]
+        out = nn.adam_step(state, params, grads)
+        out_ref = adam_step_reference(state_ref, params_ref, grads)
+        assert all(_same_bits(a, b) for a, b in zip(params + grads, before))
+        assert all(not np.shares_memory(o, a) for o in out for a in params + grads + state.m + state.v)
+        for a, b in zip(out + state.m + state.v, out_ref + state_ref.m + state_ref.v):
+            assert _same_bits(a, b)
+        params, params_ref = out, out_ref
+    assert state.step == state_ref.step == 10
+
+
+@pytest.mark.parametrize("corruption", nn.CORRUPTIONS)
+@pytest.mark.parametrize("m", [1, 10, 50])
+@pytest.mark.parametrize("n", [1, 100, 2000])
+def test_sample_batch_within_an_ulp_of_einsum_oracle(n, m, corruption):
+    cfg = nn.TrainConfig(matches_per_rotation=m)
+    rng, rng_ref = np.random.default_rng([n, m, 44]), np.random.default_rng([n, m, 44])
+    x, q_gt, R_gt = nn.sample_batch(cfg, rng, n, corruption)
+    x_ref, q_ref, R_ref = sample_batch_reference(cfg, rng_ref, n, corruption)
+    np.testing.assert_array_max_ulp(x, x_ref, maxulp=1)
+    assert _same_bits(q_gt, q_ref) and _same_bits(R_gt, R_ref)
+    assert rng.random() == rng_ref.random()  # the same draws, in the same order

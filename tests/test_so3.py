@@ -253,3 +253,15 @@ def test_quat_to_rot_matches_stacked_reference(shape):
     R = so3.quat_to_rot(q)
     assert R.shape == shape + (3, 3)
     assert np.array_equal(R, _quat_to_rot_reference(q))
+
+
+def test_skew_equals_stacked_rows_bit_for_bit():
+    v = np.random.default_rng(50).standard_normal((6, 5, 3))
+    v[0, 0] = [0.0, -0.0, 0.0]
+    v[0, 1] = [-0.0, -0.0, -0.0]
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    ref = np.stack([np.stack(r, axis=-1) for r in [[zero, -z, y], [z, zero, -x], [-y, x, zero]]], axis=-2)
+    for got, want in ((so3.skew(v), ref), (so3.skew(v[2, 3]), ref[2, 3])):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.allclose(so3.skew(v[1, 2]) @ v[3, 4], np.cross(v[1, 2], v[3, 4]))

@@ -164,3 +164,73 @@ def qcqp_forward_reference(A, gap_tol=1e-8):
     fro = np.linalg.norm(A.reshape(A.shape[:-2] + (16,)), axis=-1)
     valid = lams[..., 1] - lams[..., 0] >= gap_tol * np.maximum(1.0, fro)
     return so3.canonicalize_quat(V[..., :, 0]), lams, V, valid
+
+
+# Dense-net, Adam and sampling oracles: the out-of-place formulas the lean versions in nn
+# replaced. The lean versions must give the same bits (sample_batch: within 1 ulp).
+
+
+def forward_reference(net, x):
+    """nn.forward with a fresh array per activation; cache[l] is (input, pre-activation, kind)."""
+    a = np.atleast_2d(np.asarray(x, dtype=float))
+    cache = []
+    for W, b, act in zip(net.weights, net.biases, net.activations):
+        z = a @ W.T
+        z += b
+        cache.append((a, z, act))
+        a = np.maximum(z, 0.01 * z) if act == "leaky_relu" else z
+    return (a[0] if np.ndim(x) == 1 else a), cache
+
+
+def backward_reference(net, cache, grad_raw):
+    """nn.backward on a forward_reference cache, masking on the pre-activation."""
+    g = np.asarray(grad_raw, dtype=float)
+    if g.ndim == 1:
+        g = g[None, :]
+    grads = [None] * len(net.weights)
+    for l in range(len(net.weights) - 1, -1, -1):
+        a_prev, z, act = cache[l]
+        if act == "leaky_relu":
+            g = np.where(z > 0, g, 0.01 * g)
+        grads[l] = (g.T @ a_prev, g.sum(axis=0))
+        g = g @ net.weights[l]
+    return grads
+
+
+def adam_step_reference(state, params, grads):
+    """Bias-corrected Adam that rebinds state.m and state.v to new arrays."""
+    state.step += 1
+    t = state.step
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * g * g
+        mhat = state.m[i] / (1 - state.beta1 ** t)
+        vhat = state.v[i] / (1 - state.beta2 ** t)
+        out.append(p - state.lr * mhat / (np.sqrt(vhat) + state.eps))
+    return out
+
+
+def sample_batch_reference(cfg, rng, n, corruption="none"):
+    """nn.sample_batch with v = R u by einsum and out-of-place noise, shuffle and normalisation."""
+    from so3sym import nn
+    m = cfg.matches_per_rotation
+    a = rng.standard_normal((n, 3))
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    phi = rng.uniform(0.0, np.deg2rad(cfg.phi_max_deg), n)
+    R_gt = so3.exp_map(phi[:, None] * a)
+    q_gt = np.concatenate([np.sin(0.5 * phi)[:, None] * a, np.cos(0.5 * phi)[:, None]], axis=-1)
+    u = np.broadcast_to(nn.reference_vectors(m), (n, m, 3))
+    v = np.einsum("nij,nmj->nmi", R_gt, u)
+    sigma = cfg.sigma * (100.0 if corruption == "noise" else 1.0)
+    if sigma > 0:
+        v = v + sigma * rng.standard_normal(v.shape)
+    if corruption == "shuffle":
+        v = rng.permuted(v, axis=1)
+    v = v / np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-12)
+    if corruption == "zero":
+        blank = rng.random((n, m)) < 0.5
+        u = np.where(blank[..., None], 0.0, u)
+        v = np.where(blank[..., None], 0.0, v)
+    x = np.concatenate([u, v], axis=-1).reshape(n, 6 * m)
+    return x, so3.canonicalize_quat(q_gt), R_gt
