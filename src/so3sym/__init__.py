@@ -22,15 +22,12 @@ from .so3 import (
     quat_to_rot,
     random_quats,
     rot_to_quat,
-    sixd_to_rot,
 )
 from .symrep import (
     DegenerateEigenspace,
     EigenDecomp4,
     A_to_theta,
-    pinv4_sym,
     qcqp_forward,
-    qcqp_jacobian,
     qcqp_jacobian_theta,
     qcqp_solve,
     qcqp_vjp,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symrep import (DEFAULT_GAP_TOL, DegenerateEigenspace, _dispersion_trace, _lapack_input,
+from .symrep import (DEFAULT_GAP_TOL, _dispersion_trace, _lapack_input, _raise_if_degenerate,
                      qcqp_forward)
 
 
@@ -41,14 +41,14 @@ class BinghamBelief:
 def belief_from_A(A, gap_tol=DEFAULT_GAP_TOL):
     """Diagonalize -A into a Bingham belief.
 
-    Requires a simple minimum eigenvalue of A so the mode is unique.
+    Requires a simple minimum eigenvalue of A so the mode is unique;
+    raises DegenerateEigenspace otherwise.
     """
     if np.shape(A) != (4, 4):
         raise ValueError(f"belief_from_A expects a single (4, 4) matrix, got {np.shape(A)}")
     mode, dec, valid = qcqp_forward(A, gap_tol)
     if not valid:
-        raise DegenerateEigenspace(
-            f"mode is not unique (gap {float(dec.eigengap):.3e}, gap_tol {gap_tol:.1e})")
+        _raise_if_degenerate(valid, dec, gap_tol)
     lams = dec.lambdas
     axes = dec.vectors[:, ::-1].copy()
     axes[:, 3] = mode

@@ -24,8 +24,8 @@ import numpy as np
 
 from .averaging import chordal_mean, quat_mean
 from .so3 import canonicalize_quat, d_ang, d_chord, d_quat, quat_to_rot
-from .symrep import (A_to_theta, DegenerateEigenspace, EigenDecomp4, qcqp_forward,
-                     qcqp_jacobian_theta, theta_to_A)
+from .symrep import (DEFAULT_GAP_TOL, A_to_theta, DegenerateEigenspace, EigenDecomp4,
+                     _raise_if_degenerate, qcqp_forward, qcqp_jacobian_theta, theta_to_A)
 from .wahba import (
     CORRUPTIONS,
     InputError,
@@ -126,7 +126,7 @@ def cmd_wahba(args):
         corr = read_correspondences_csv(args.input)
     q, dec, valid = qcqp_forward(build_data_matrix(corr))
     if not valid:
-        raise DegenerateEigenspace(f"minimum eigenvalue is not simple (gap {dec.eigengap:.3e})")
+        _raise_if_degenerate(valid, dec, DEFAULT_GAP_TOL)
     print(f"pairs: {len(corr)}")
     print(f"q_star: {_fmt(q[0])} {_fmt(q[1])} {_fmt(q[2])} {_fmt(q[3])}")
     print(f"eigengap: {_fmt(dec.eigengap)}")

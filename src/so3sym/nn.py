@@ -10,12 +10,11 @@ input, which one of three interchangeable heads turns into a rotation:
           (this head also exposes a dispersion trace per sample).
 
 Losses (squared quaternion, chordal, angular distances), Adam, and the
-synthetic training protocol live here as well. Heads and losses have one
-batched implementation each (`_batch_head`, `_batch_head_backward`,
-`_batch_loss`), which masks degenerate samples; the single-sample
-`head_forward`, `head_backward` and `loss_eval` are wrappers over it that
-raise instead. Everything is plain numpy and deterministic for a fixed
-seed.
+synthetic training protocol live here as well. Everything works on batches:
+`forward` takes (B, in_dim) rows, and heads and losses have one batched
+implementation each (`head_forward`, `head_backward`, `loss_eval`).
+`head_forward` reports degenerate samples in a `valid` mask instead of
+raising. Everything is plain numpy and deterministic for a fixed seed.
 """
 
 import functools
@@ -27,10 +26,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import so3
-from .bingham import _quantile, dt_fit
-from .symrep import (DEFAULT_GAP_TOL, DegenerateEigenspace, qcqp_forward, qcqp_vjp,
-                     theta_to_A, theta_to_A_adjoint)
-from .wahba import CORRUPTIONS, InputError, rng_for
+from .bingham import _quantile, dt_classify, dt_fit
+from .symrep import DEFAULT_GAP_TOL, qcqp_forward, qcqp_vjp, theta_to_A, theta_to_A_adjoint
+from .wahba import CORRUPTIONS, InputError, rng_for, sample_rotations
 
 HEADS = ("quat", "6d", "A")
 LOSSES = ("quat", "chord", "ang")
@@ -102,22 +100,17 @@ def _act(z, kind, out=None):
 
 
 def forward(net, x):
-    """Run the net; returns (raw, cache) with what backward needs.
-
-    x is (in_dim,) or (B, in_dim); raw matches the leading shape.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
-    if a.shape[1] != net.in_dim:
-        raise ValueError(f"input dim {a.shape[1]} != net input dim {net.in_dim}")
+    """Run the net on a (B, in_dim) batch; returns (raw, cache) with what backward needs."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[1] != net.in_dim:
+        raise ValueError(f"input shape {a.shape} is not (B, {net.in_dim})")
     cache = []
     for W, b, act in zip(net.weights, net.biases, net.activations):
         z = a @ W.T
         z += b
         a_in, a = a, _act(z, act, out=z)
         cache.append((a_in, a, act))
-    return (a[0] if single else a), cache
+    return a, cache
 
 
 def backward(net, cache, grad_raw):
@@ -128,7 +121,7 @@ def backward(net, cache, grad_raw):
     output > 0 exactly where the pre-activation is > 0 (signed zeros and NaN
     included), so the leaky-ReLU mask reads the output. grad_raw is not written.
     """
-    g = np.array(grad_raw, dtype=float, ndmin=2)
+    g = np.array(grad_raw, dtype=float)
     grads = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, -1, -1):
         a_prev, a, act = cache[l]
@@ -145,15 +138,6 @@ def backward(net, cache, grad_raw):
 
 # ---------------------------------------------------------------------------
 # Representation heads
-
-
-@dataclass(frozen=True)
-class HeadOutput:
-    """Rotation readout of a head: matrix, quaternion, and (A head only) trace."""
-
-    R: np.ndarray
-    q: np.ndarray
-    trace: float = None
 
 
 def _grad_R_to_grad_q(q, grad_R):
@@ -219,31 +203,35 @@ def _sixd_head_backward(raw, grad_R):
     return np.concatenate([ga1, ga2], axis=-1)
 
 
-def _sym_head_forward(raw, gap_tol=DEFAULT_GAP_TOL):
-    """theta -> (q*, R, trace, decomp, valid). Invalid where the gap closes."""
-    q, dec, valid = qcqp_forward(theta_to_A(raw), gap_tol)
-    q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
-    return q, so3.quat_to_rot(q), dec.dispersion_trace, dec, valid
+def head_forward(head, raw, gap_tol=DEFAULT_GAP_TOL):
+    """Head readout of a (B, d) batch: (q, R, trace, aux, valid).
 
-
-def _batch_head(head, raw, gap_tol=DEFAULT_GAP_TOL):
-    """Batched head forward: (q, R, trace-or-None, aux, valid).
-
-    q is None for the 6d head: no loss or backward pass it runs reads it.
+    q is None for the 6d head: no loss or backward pass it runs reads it. trace
+    (the dispersion trace) and aux (the EigenDecomp4 head_backward needs) are the
+    A head's, None for the others. valid is False where the input is degenerate;
+    R is the identity there. ValueError on an unknown head or a width not d.
     """
+    if head not in HEAD_DIMS:
+        raise ValueError(f"unknown head {head!r}")
+    raw = np.asarray(raw, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] != HEAD_DIMS[head]:
+        raise ValueError(f"head {head!r} expects (B, {HEAD_DIMS[head]}) input, got {raw.shape}")
     if head == "quat":
         q, R, valid = _quat_head_forward(raw)
         return q, R, None, None, valid
     if head == "6d":
         R, valid = so3.sixd_to_rot_masked(raw)
         return None, R, None, None, valid
-    if head == "A":
-        return _sym_head_forward(raw, gap_tol)
-    raise ValueError(f"unknown head {head!r}")
+    q, dec, valid = qcqp_forward(theta_to_A(raw), gap_tol)
+    q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
+    return q, so3.quat_to_rot(q), dec.dispersion_trace, dec, valid
 
 
-def _batch_head_backward(head, raw, q, aux, grad_q, grad_R):
-    """Batched gradient wrt raw; the 6d head reads grad_R only."""
+def head_backward(head, raw, q, aux, grad_q, grad_R):
+    """Gradient wrt raw from upstream gradients wrt q and/or R, at head_forward's q and aux.
+
+    The 6d head reads grad_R only. Only meaningful where head_forward reports valid.
+    """
     if grad_R is not None and head != "6d":
         extra = _grad_R_to_grad_q(q, grad_R)
         grad_q = extra if grad_q is None else grad_q + extra
@@ -254,55 +242,6 @@ def _batch_head_backward(head, raw, q, aux, grad_q, grad_R):
     if head == "A":
         return theta_to_A_adjoint(qcqp_vjp(aux, q, grad_q))
     raise ValueError(f"unknown head {head!r}")
-
-
-# What a single-sample wrapper raises when the batched head masks its input.
-_DEGENERATE = {"quat": (ValueError, "quat head input has near-zero norm"),
-               "6d": (ValueError, "6d head input is degenerate: a1 near zero or a2 near span(a1)"),
-               "A": (DegenerateEigenspace, "predicted A has a non-simple minimum eigenvalue")}
-
-
-def _single_head(head, raw, gap_tol):
-    """_batch_head on one sample given a batch axis; raises where it is invalid."""
-    q, R, trace, aux, valid = _batch_head(head, raw, gap_tol)
-    if not valid[0]:
-        exc, msg = _DEGENERATE[head]
-        raise exc(msg)
-    return q, R, trace, aux
-
-
-def _batch1(x):
-    """Add a leading batch axis; None stays None."""
-    return None if x is None else np.asarray(x, dtype=float)[None]
-
-
-def head_forward(head, raw, gap_tol=DEFAULT_GAP_TOL):
-    """Single-sample head evaluation; raises on degenerate inputs."""
-    if head not in HEAD_DIMS:
-        raise ValueError(f"unknown head {head!r}")
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape != (HEAD_DIMS[head],):
-        raise ValueError(f"head {head!r} expects a {HEAD_DIMS[head]}-vector, got {raw.shape}")
-    q, R, trace, _ = _single_head(head, raw[None], gap_tol)
-    if q is None:
-        q = so3.rot_to_quat(R)
-    return HeadOutput(R=R[0], q=q[0], trace=None if trace is None else float(trace[0]))
-
-
-def head_backward(head, raw, grad_q=None, grad_R=None, gap_tol=DEFAULT_GAP_TOL):
-    """Gradient wrt raw from upstream gradient wrt q and/or R (single sample)."""
-    if grad_q is None and grad_R is None:
-        raise ValueError("head_backward needs grad_q and/or grad_R")
-    if head == "6d" and grad_q is not None:
-        raise ValueError("6d head only propagates gradients wrt R")
-    raw = _batch1(raw)
-    q, _, _, aux = _single_head(head, raw, gap_tol)
-    return _batch_head_backward(head, raw, q, aux, _batch1(grad_q), _batch1(grad_R))[0]
-
-
-def head_norm_metric(raw):
-    """Norm of the raw head input, an alternative uncertainty score."""
-    return float(np.linalg.norm(np.asarray(raw, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +274,8 @@ def _loss_ang(R, R_gt):
     return loss, factor[..., None, None] * R_gt
 
 
-def _batch_loss(kind, q, R, q_gt, R_gt):
-    """Per-sample losses and upstream gradients (grad_q, grad_R)."""
+def loss_eval(kind, q, R, q_gt, R_gt):
+    """Per-sample losses of a batch and their upstream gradients (loss, grad_q, grad_R)."""
     if kind == "quat":
         loss, gq = _loss_quat(q, q_gt)
         return loss, gq, None
@@ -347,12 +286,6 @@ def _batch_loss(kind, q, R, q_gt, R_gt):
         loss, gR = _loss_ang(R, R_gt)
         return loss, None, gR
     raise ValueError(f"unknown loss {kind!r}")
-
-
-def loss_eval(kind, R, q, R_gt, q_gt):
-    """Evaluate one loss; returns (value, grad_R, grad_q), unused grad None."""
-    loss, gq, gR = _batch_loss(kind, _batch1(q), _batch1(R), _batch1(q_gt), _batch1(R_gt))
-    return float(loss[0]), None if gR is None else gR[0], None if gq is None else gq[0]
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +508,7 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
         raise ValueError(f"unknown corruption {corruption!r}; choose from {CORRUPTIONS}")
     n = n_rotations
     m = cfg.matches_per_rotation
-    a = rng.standard_normal((n, 3))
-    a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    phi = rng.uniform(0.0, np.deg2rad(cfg.phi_max_deg), n)
-    R_gt = so3.exp_map(phi[:, None] * a)
-    # The quaternion of the sampled rotation (phi about a); rot_to_quat(R_gt) up to rounding.
-    q_gt = np.empty((n, 4))
-    q_gt[:, :3] = np.sin(0.5 * phi)[:, None] * a
-    q_gt[:, 3] = np.cos(0.5 * phi)
+    R_gt, q_gt = sample_rotations(n, np.deg2rad(cfg.phi_max_deg), rng)
     ref = _fixed_reference_vectors(m)
     u = np.broadcast_to(ref, (n, m, 3))
     # v[n, m] = R_gt[n] @ ref[m] as (p0 + p2) + p1 over the products pj = R_gt[:, :, j] ref[:, j]:
@@ -606,7 +532,7 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
         u = np.where(blank[..., None], 0.0, u)
         v[blank] = 0.0
     x = np.concatenate([u, v], axis=-1).reshape(n, 6 * m)
-    return x, so3.canonicalize_quat(q_gt), R_gt
+    return x, q_gt, R_gt
 
 
 def _angular_errors_deg(R, R_gt, valid):
@@ -634,7 +560,7 @@ def evaluate(net, head, x, R_gt, where, gap_tol=DEFAULT_GAP_TOL):
     raw, _ = forward(net, x)
     if not np.isfinite(raw).all():
         raise _diverged(where)
-    q, R, trace, _, valid = _batch_head(head, raw, gap_tol)
+    q, R, trace, _, valid = head_forward(head, raw, gap_tol)
     errs = _angular_errors_deg(R, R_gt, valid)
     return errs, trace, valid
 
@@ -676,20 +602,20 @@ def train_single(cfg, head, trial=0):
             raw, cache = forward(net, x)
             if not np.isfinite(raw).all():
                 raise _diverged(at(epoch, f"batch {batch}"))
-            q, R, _, aux, valid = _batch_head(head, raw)
+            q, R, _, aux, valid = head_forward(head, raw)
             n_valid = int(valid.sum())
             degenerate += int((~valid).sum())
             epoch_errs.append(_angular_errors_deg(R, R_gt, valid))
             if n_valid == 0:
                 continue
-            loss, gq, gR = _batch_loss(cfg.loss, q, R, q_gt, R_gt)
+            loss, gq, gR = loss_eval(cfg.loss, q, R, q_gt, R_gt)
             # Mean over valid samples; invalid ones contribute zero gradient.
             scale = (valid / n_valid)
             if gq is not None:
                 gq = gq * scale[..., None]
             if gR is not None:
                 gR = gR * scale[..., None, None]
-            grad_raw = _batch_head_backward(head, raw, q, aux, gq, gR)
+            grad_raw = head_backward(head, raw, q, aux, gq, gR)
             grad_raw = np.where(valid[..., None], grad_raw, 0.0)
             grads = backward(net, cache, grad_raw)
             net.set_params(adam_step(state, net.params(), [g for dW_db in grads for g in dW_db]))
@@ -774,12 +700,12 @@ def dt_evaluate(net, cfg, q, corruption, rng, n_mix=200, n_reference=1000):
     for n, kind in blocks:
         x, _, R_gt = sample_batch(cfg, rng, n, corruption=kind)
         raw, _ = forward(net, x)
-        _, R, trace, _, _ = _sym_head_forward(raw)
+        _, R, trace, _, _ = head_forward("A", raw)
         traces.append(trace)
         rotations.append((R, R_gt))
     threshold = dt_fit(traces[0], min(q, 1.0))
     mix = np.concatenate(traces[1:])
-    kept = mix <= threshold if q < 1.0 else np.ones(n_mix, dtype=bool)
+    kept = dt_classify(mix, threshold) if q < 1.0 else np.ones(n_mix, dtype=bool)
     return DTReport(q=q, corruption=corruption, threshold=threshold, traces=mix,
                     errors_deg=np.concatenate([np.rad2deg(so3.d_ang(*r)) for r in rotations[1:]]),
                     kept=kept, corrupted=np.arange(n_mix) >= n_clean,

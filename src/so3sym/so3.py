@@ -278,31 +278,8 @@ def sixd_to_rot_masked(s, eps=1e-9):
     return np.where(valid[..., None, None], R, np.eye(3)), valid
 
 
-def sixd_to_rot(s, eps=1e-9):
-    """Two stacked 3-vectors (a1, a2) -> rotation via Gram-Schmidt.
-
-    Columns of the result are (b1, b2, b1 x b2). Scale-invariant in both
-    inputs. Raises ValueError when a1 is near zero or a2 near span(a1).
-    """
-    s = _as_farray(s, "sixd", (6,))
-    if np.any(np.linalg.norm(s[..., :3], axis=-1) < eps):
-        raise ValueError("degenerate 6D input: first vector is near zero")
-    R, valid = sixd_to_rot_masked(s, eps)
-    if not np.all(valid):
-        raise ValueError("degenerate 6D input: second vector is near span of the first")
-    return R
-
-
 def random_quats(n, rng):
     """n unit quaternions uniform on S^3 (normalized 4-D Gaussians)."""
     q = rng.standard_normal((n, 4))
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
-
-def is_rotation(R, tol=1e-10):
-    """Check R^T R = I and det R = 1 within tol (Frobenius)."""
-    R = np.asarray(R, dtype=float)
-    if R.shape[-2:] != (3, 3):
-        return False
-    err = np.linalg.norm((np.swapaxes(R, -1, -2) @ R - np.eye(3)).reshape(R.shape[:-2] + (9,)), axis=-1)
-    return bool(np.all(err <= tol) and np.all(np.abs(np.linalg.det(R) - 1.0) <= tol))

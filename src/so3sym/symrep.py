@@ -173,6 +173,11 @@ def qcqp_forward(A, gap_tol=DEFAULT_GAP_TOL, decomp=None):
 
 
 def _raise_if_degenerate(valid, decomp, gap_tol):
+    """Raise DegenerateEigenspace unless qcqp_forward's valid is all True.
+
+    This is the one message for a non-simple minimum eigenvalue; it names the
+    smallest failing gap against the gate.
+    """
     if not valid.all():
         gap = float(np.min(decomp.eigengap[~valid]))
         where = f" in {np.count_nonzero(~valid)} of {valid.size} matrices" if valid.ndim else ""
@@ -213,41 +218,17 @@ def qcqp_solve(A, gap_tol=DEFAULT_GAP_TOL):
     return q, float(lams[1]) - float(lams[0])
 
 
-def pinv4_sym(M, rank_tol=1e-12):
-    """Moore-Penrose pseudo-inverse of a symmetric 4x4 matrix.
+def qcqp_jacobian_theta(A, decomp=None, gap_tol=DEFAULT_GAP_TOL):
+    """(..., 4, 10) Jacobian dq*/dtheta of the canonical-sign readout.
 
-    Eigenvalues with |lambda| <= rank_tol * max|lambda| are treated as zero.
+    qcqp_vjp applied to the rows of I, pulled back through theta_to_A: the
+    gradient training runs, as one matrix per A. Raises DegenerateEigenspace
+    unless every minimum eigenvalue is simple.
     """
-    M = np.asarray(M, dtype=float)
-    dec = symeig4(M)
-    lams, V = dec.lambdas, dec.vectors
-    cutoff = rank_tol * np.abs(lams).max(axis=-1, keepdims=True)
-    inv = np.where(np.abs(lams) > cutoff, 1.0 / np.where(lams == 0.0, 1.0, lams), 0.0)
-    return (V * inv[..., None, :]) @ np.swapaxes(V, -1, -2)
-
-
-def _qcqp_jacobian_A(A, decomp, gap_tol):
-    """dq*/dA as (..., 4, 4, 4), [..., r, i, j] = dq*_r / dA_ij: qcqp_vjp on the rows of I."""
     q, dec, valid = qcqp_forward(A, gap_tol, decomp)
     _raise_if_degenerate(valid, dec, gap_tol)
     rows = EigenDecomp4(dec.lambdas[..., None, :], dec.vectors[..., None, :, :])
-    return qcqp_vjp(rows, q[..., None, :], np.eye(4))
-
-
-def qcqp_jacobian(A, decomp=None, gap_tol=DEFAULT_GAP_TOL):
-    """Analytic (..., 4, 16) Jacobian dq*/dvec(A), column-major vec.
-
-    Rows index the canonical-sign minimum eigenvector q*; equals
-    q*^T kron pinv(lambda1 I - A). Raises DegenerateEigenspace unless
-    every minimum eigenvalue is simple.
-    """
-    J = np.swapaxes(_qcqp_jacobian_A(A, decomp, gap_tol), -1, -2)
-    return J.reshape(J.shape[:-2] + (16,))
-
-
-def qcqp_jacobian_theta(A, decomp=None, gap_tol=DEFAULT_GAP_TOL):
-    """(..., 4, 10) Jacobian dq*/dtheta: dq*/dA pulled back through theta_to_A."""
-    return theta_to_A_adjoint(_qcqp_jacobian_A(A, decomp, gap_tol))
+    return theta_to_A_adjoint(qcqp_vjp(rows, q[..., None, :], np.eye(4)))
 
 
 def smooth_section(q):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import exp_map, quat_left_matrix, quat_right_matrix
+from .so3 import canonicalize_quat, exp_map, quat_left_matrix, quat_right_matrix
 from .symrep import DEFAULT_GAP_TOL, qcqp_solve
 
 
@@ -135,12 +135,19 @@ def sample_unit_sphere(n, rng):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def sample_rotation(phi_max, rng):
-    """Rotation with angle U[0, phi_max) about a Gaussian-random axis."""
-    a = rng.standard_normal(3)
-    a = a / np.linalg.norm(a)
-    phi = rng.uniform(0.0, phi_max)
-    return exp_map(phi * a)
+def sample_rotations(n, phi_max, rng):
+    """(R, q): n rotations (n, 3, 3) and their canonical-sign quaternions (n, 4).
+
+    Each turns by an angle U[0, phi_max) about a Gaussian-random axis; rng
+    draws the n axes, then the n angles.
+    """
+    a = sample_unit_sphere(n, rng)
+    phi = rng.uniform(0.0, phi_max, n)
+    # The quaternion of phi about a; rot_to_quat(R) up to rounding.
+    q = np.empty((n, 4))
+    q[:, :3] = np.sin(0.5 * phi)[:, None] * a
+    q[:, 3] = np.cos(0.5 * phi)
+    return exp_map(phi[:, None] * a), canonicalize_quat(q)
 
 
 def sample_synthetic(cfg, rng=None):
@@ -152,7 +159,7 @@ def sample_synthetic(cfg, rng=None):
     """
     if rng is None:
         rng = rng_for(cfg.seed)
-    R_hat = sample_rotation(cfg.phi_max, rng)
+    (R_hat,), _ = sample_rotations(1, cfg.phi_max, rng)
     u = sample_unit_sphere(cfg.num_matches, rng)
     v = u @ R_hat.T
     if cfg.sigma > 0:
@@ -177,10 +184,6 @@ class InputError(ValueError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-
-
-# The readers' error type before InputError; callers that catch it keep working.
-CorrespondenceParseError = InputError
 
 
 def _read_csv_table(path, headers, row_problem):

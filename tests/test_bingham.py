@@ -51,7 +51,7 @@ def test_belief_scaling():
 
 
 def test_belief_degenerate_raises():
-    with pytest.raises(DegenerateEigenspace):
+    with pytest.raises(DegenerateEigenspace, match=r"^minimum eigenvalue is not simple \(gap 0\.000e\+00 < 1\.0e-08"):
         bingham.belief_from_A(np.eye(4))
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from so3sym import nn, so3, symrep
-from so3sym.symrep import DegenerateEigenspace
 
 from util import (adam_step_reference, backward_reference, forward_reference,
                   random_rotations, sample_batch_reference)
@@ -15,7 +14,8 @@ def test_forward_zero_weights_propagates_bias():
     net = nn.init_net(4, (3,), 2, np.random.default_rng(0))
     for W in net.weights:
         W[:] = 0.0
-    raw, _ = nn.forward(net, np.zeros(4))
+    raw, _ = nn.forward(net, np.zeros((1, 4)))
+    raw = raw[0]
     hidden = np.where(net.biases[0] > 0, net.biases[0], nn.LEAKY_SLOPE * net.biases[0])
     assert np.allclose(raw, net.weights[1] @ hidden + net.biases[1])
     assert np.allclose(raw, net.biases[1])
@@ -37,118 +37,129 @@ def test_forward_batch_row_equivalence():
     x = rng.standard_normal((5, 6))
     raw_batch, _ = nn.forward(net, x)
     for i in range(5):
-        raw_one, _ = nn.forward(net, x[i])
+        raw_one, _ = nn.forward(net, x[i:i + 1])
         # no cross-sample coupling; BLAS kernels may differ in the last ulp
-        assert np.allclose(raw_one, raw_batch[i], rtol=0, atol=1e-14)
+        assert np.allclose(raw_one[0], raw_batch[i], rtol=0, atol=1e-14)
 
 
 def test_forward_dim_mismatch():
     net = nn.init_net(6, (8,), 4, np.random.default_rng(3))
-    with pytest.raises(ValueError):
-        nn.forward(net, np.zeros(5))
+    for x in (np.zeros((2, 5)), np.zeros(6)):  # wrong width; not a batch
+        with pytest.raises(ValueError, match=r"is not \(B, 6\)"):
+            nn.forward(net, x)
 
 
 # -- heads ----------------------------------------------------------------------
 
 
 def test_quat_head_normalizes():
-    out = nn.head_forward("quat", [0.0, 0.0, 0.0, 2.0])
-    assert np.allclose(out.R, np.eye(3))
-    assert np.allclose(out.q, [0, 0, 0, 1])
+    q, R, trace, aux, valid = nn.head_forward("quat", [[0.0, 0.0, 0.0, 2.0]])
+    assert np.allclose(R[0], np.eye(3))
+    assert np.allclose(q[0], [0, 0, 0, 1])
+    assert valid.tolist() == [True] and trace is None and aux is None
 
 
-def test_quat_head_zero_raises():
-    with pytest.raises(ValueError):
-        nn.head_forward("quat", np.zeros(4))
+def test_quat_head_zero_is_invalid():
+    _, R, _, _, valid = nn.head_forward("quat", [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    assert valid.tolist() == [False, True]
+    assert np.array_equal(R[0], np.eye(3))
 
 
 def test_sym_head_at_section_point():
     rng = np.random.default_rng(4)
-    q = so3.random_quats(1, rng)[0]
+    q = so3.random_quats(1, rng)
     raw = symrep.A_to_theta(symrep.smooth_section(q))
-    out = nn.head_forward("A", raw)
-    assert so3.d_ang(out.R, so3.quat_to_rot(q)) < 1e-9
-    assert np.isclose(out.trace, -3.0)
+    _, R, trace, _, valid = nn.head_forward("A", raw)
+    assert valid.all()
+    assert so3.d_ang(R[0], so3.quat_to_rot(q[0])) < 1e-9
+    assert np.isclose(trace[0], -3.0)
 
 
-def test_sym_head_degenerate_raises():
-    with pytest.raises(DegenerateEigenspace):
-        nn.head_forward("A", symrep.A_to_theta(np.eye(4)))
+def test_sym_head_degenerate_is_invalid():
+    _, R, _, _, valid = nn.head_forward("A", symrep.A_to_theta(np.eye(4))[None])
+    assert valid.tolist() == [False]
+    assert np.array_equal(R[0], np.eye(3))
 
 
 def test_sixd_head_identity():
-    out = nn.head_forward("6d", [1.0, 0, 0, 0, 1.0, 0])
-    assert np.allclose(out.R, np.eye(3))
+    _, R, _, _, valid = nn.head_forward("6d", [[1.0, 0, 0, 0, 1.0, 0]])
+    assert valid.all() and np.allclose(R[0], np.eye(3))
 
 
-def head_fd(head, raw, up_q, up_R, h=1e-5):
-    base = nn.head_forward(head, raw)
-    g = np.zeros(len(raw))
-    for k in range(len(raw)):
-        vals = []
-        for sgn in (+1.0, -1.0):
-            r = np.array(raw, dtype=float)
-            r[k] += sgn * h
-            out = nn.head_forward(head, r)
-            q = out.q if np.dot(out.q, base.q) >= 0 else -out.q
-            v = 0.0
-            if up_q is not None:
-                v += float(np.dot(up_q, q))
-            if up_R is not None:
-                v += float(np.sum(up_R * out.R))
-            vals.append(v)
-        g[k] = (vals[0] - vals[1]) / (2 * h)
-    return g
+def valid_raws(head, rng, n):
+    """n standard-normal head inputs that head_forward accepts, drawn as one batch."""
+    raw = rng.standard_normal((2 * n, nn.HEAD_DIMS[head]))
+    raw = raw[nn.head_forward(head, raw)[-1]][:n]
+    assert len(raw) == n
+    return raw
+
+
+def fd_through_head(head, raw, f, h):
+    """(B, d) central differences of f(q, R) -> per-sample values, wrt each raw entry.
+
+    Every perturbed input goes through head_forward in one batch, and must be valid.
+    q (None for the 6d head) is sign-aligned to the unperturbed readout and, like R,
+    has the axes (B, 2, d): sample, sign of the step, perturbed entry.
+    """
+    B, d = raw.shape
+    steps = h * np.stack([np.eye(d), -np.eye(d)])
+    q, R, _, _, valid = nn.head_forward(head, (raw[:, None, None, :] + steps).reshape(-1, d))
+    assert valid.all()
+    R = R.reshape(B, 2, d, 3, 3)
+    if q is not None:
+        q0 = nn.head_forward(head, raw)[0]
+        q = q.reshape(B, 2, d, 4)
+        q = q * np.where(np.sum(q * q0[:, None, None], axis=-1) >= 0, 1.0, -1.0)[..., None]
+    vals = f(q, R)
+    return (vals[:, 0] - vals[:, 1]) / (2 * h)
+
+
+def rel_max_error(ana, fd):
+    """Per-sample max |ana - fd|, relative to max(1, max |ana|)."""
+    return np.abs(ana - fd).max(axis=-1) / np.maximum(1.0, np.abs(ana).max(axis=-1))
 
 
 @pytest.mark.parametrize("head", ["quat", "6d", "A"])
 def test_head_backward_finite_differences(head):
     rng = np.random.default_rng(5)
-    checked = 0
-    while checked < 100:
-        raw = rng.standard_normal(nn.HEAD_DIMS[head])
-        try:
-            nn.head_forward(head, raw)
-        except (ValueError, DegenerateEigenspace):
-            continue
-        checked += 1
-        up_q = rng.standard_normal(4) if head != "6d" else None
-        up_R = rng.standard_normal((3, 3))
-        ana = nn.head_backward(head, raw, grad_q=up_q, grad_R=up_R)
-        fd = head_fd(head, raw, up_q, up_R)
-        assert np.abs(ana - fd).max() / max(1.0, np.abs(ana).max()) < 1e-4
+    n = 100
+    raw = valid_raws(head, rng, n)
+    up_q = rng.standard_normal((n, 4)) if head != "6d" else None
+    up_R = rng.standard_normal((n, 3, 3))
+    q, _, _, aux, _ = nn.head_forward(head, raw)
+    ana = nn.head_backward(head, raw, q, aux, up_q, up_R)
+
+    def f(q, R):
+        v = np.sum(up_R[:, None, None] * R, axis=(-2, -1))
+        return v if up_q is None else v + np.sum(up_q[:, None, None] * q, axis=-1)
+
+    assert np.all(rel_max_error(ana, fd_through_head(head, raw, f, 1e-5)) < 1e-4)
 
 
 def test_quat_head_gradient_is_tangential():
     rng = np.random.default_rng(6)
-    raw = rng.standard_normal(4)
-    g = nn.head_backward("quat", raw, grad_q=rng.standard_normal(4))
-    assert abs(np.dot(g, raw / np.linalg.norm(raw))) < 1e-12
+    raw = rng.standard_normal((1, 4))
+    q, _, _, aux, _ = nn.head_forward("quat", raw)
+    g = nn.head_backward("quat", raw, q, aux, rng.standard_normal((1, 4)), None)
+    assert abs(np.dot(g[0], raw[0] / np.linalg.norm(raw[0]))) < 1e-12
 
 
 def test_sixd_head_scale_directions_are_null():
     rng = np.random.default_rng(7)
-    raw = rng.standard_normal(6)
-    g = nn.head_backward("6d", raw, grad_R=rng.standard_normal((3, 3)))
+    raw = rng.standard_normal((1, 6))
+    g = nn.head_backward("6d", raw, None, None, None, rng.standard_normal((1, 3, 3)))[0]
     # output is invariant to scaling of a1 and of a2 separately
-    assert abs(np.dot(g[:3], raw[:3])) < 1e-12
-    assert abs(np.dot(g[3:], raw[3:])) < 1e-12
+    assert abs(np.dot(g[:3], raw[0, :3])) < 1e-12
+    assert abs(np.dot(g[3:], raw[0, 3:])) < 1e-12
 
 
 def test_sym_head_shift_invariance():
     rng = np.random.default_rng(8)
     raw = rng.standard_normal(10)
     theta_eye = symrep.A_to_theta(np.eye(4))
-    out0 = nn.head_forward("A", raw)
-    out1 = nn.head_forward("A", raw + 5.0 * theta_eye)
-    assert so3.d_ang(out0.R, out1.R) < 1e-9
-
-
-def test_head_norm_metric():
-    assert nn.head_norm_metric(np.zeros(10)) == 0
-    rng = np.random.default_rng(9)
-    raw = rng.standard_normal(10)
-    assert np.isclose(nn.head_norm_metric(3.0 * raw), 3.0 * nn.head_norm_metric(raw))
+    _, R, _, _, valid = nn.head_forward("A", np.stack([raw, raw + 5.0 * theta_eye]))
+    assert valid.all()
+    assert so3.d_ang(R[0], R[1]) < 1e-9
 
 
 # -- losses ---------------------------------------------------------------------
@@ -156,36 +167,32 @@ def test_head_norm_metric():
 
 def test_losses_zero_at_target():
     rng = np.random.default_rng(10)
-    R, q = random_rotations(1, rng)
-    R, q = R[0], q[0]
+    R, q = random_rotations(5, rng)
     for kind in nn.LOSSES:
-        val, _, _ = nn.loss_eval(kind, R, q, R, q)
-        assert abs(val) < 1e-12
+        val, _, _ = nn.loss_eval(kind, q, R, q, R)
+        assert np.abs(val).max() < 1e-12
 
 
 def test_chord_loss_half_turn():
-    R = np.diag([1.0, -1.0, -1.0])
-    val, _, _ = nn.loss_eval("chord", R, so3.rot_to_quat(R), np.eye(3), np.array([0, 0, 0, 1.0]))
-    assert np.isclose(val, 8.0)
+    R = np.diag([1.0, -1.0, -1.0])[None]
+    val, _, _ = nn.loss_eval("chord", so3.rot_to_quat(R), R, np.array([[0, 0, 0, 1.0]]), np.eye(3)[None])
+    assert np.isclose(val[0], 8.0)
 
 
 def test_loss_identity_chord_quat():
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        Ra, qa = random_rotations(1, rng)
-        Rb, qb = random_rotations(1, rng)
-        l_chord, _, _ = nn.loss_eval("chord", Ra[0], qa[0], Rb[0], qb[0])
-        l_quat, _, _ = nn.loss_eval("quat", Ra[0], qa[0], Rb[0], qb[0])
-        assert abs(l_chord - 2 * l_quat * (4 - l_quat)) < 1e-9
+    Ra, qa = random_rotations(100, rng)
+    Rb, qb = random_rotations(100, rng)
+    l_chord, _, _ = nn.loss_eval("chord", qa, Ra, qb, Rb)
+    l_quat, _, _ = nn.loss_eval("quat", qa, Ra, qb, Rb)
+    assert np.abs(l_chord - 2 * l_quat * (4 - l_quat)).max() < 1e-9
 
 
 def test_ang_loss_zero_subgradient_at_endpoints():
-    R = np.eye(3)
-    _, grad_R, _ = nn.loss_eval("ang", R, np.array([0, 0, 0, 1.0]), R, np.array([0, 0, 0, 1.0]))
-    assert np.array_equal(grad_R, np.zeros((3, 3)))
-    half = np.diag([1.0, -1.0, -1.0])
-    _, grad_R, _ = nn.loss_eval("ang", half, so3.rot_to_quat(half), R, np.array([0, 0, 0, 1.0]))
-    assert np.array_equal(grad_R, np.zeros((3, 3)))
+    R = np.stack([np.eye(3), np.diag([1.0, -1.0, -1.0])])
+    _, _, grad_R = nn.loss_eval("ang", so3.rot_to_quat(R), R, np.array([[0, 0, 0, 1.0]] * 2),
+                                np.stack([np.eye(3)] * 2))
+    assert np.array_equal(grad_R, np.zeros((2, 3, 3)))
 
 
 @pytest.mark.parametrize("kind,head", [("quat", "quat"), ("quat", "A"),
@@ -193,31 +200,20 @@ def test_ang_loss_zero_subgradient_at_endpoints():
                                        ("ang", "quat"), ("ang", "6d"), ("ang", "A")])
 def test_loss_gradients_through_heads(kind, head):
     rng = np.random.default_rng(12)
-    checked = 0
-    while checked < 30:
-        raw = rng.standard_normal(nn.HEAD_DIMS[head])
-        R_gt, q_gt = random_rotations(1, rng)
-        R_gt, q_gt = R_gt[0], q_gt[0]
-        try:
-            out = nn.head_forward(head, raw)
-        except (ValueError, DegenerateEigenspace):
-            continue
-        if kind == "ang" and so3.d_ang(out.R, R_gt) > 3.0:
-            continue  # keep clear of the pi branch
-        checked += 1
-        _, gR, gq = nn.loss_eval(kind, out.R, out.q, R_gt, q_gt)
-        ana = nn.head_backward(head, raw, grad_q=gq, grad_R=gR)
-        h = 1e-6
-        fd = np.zeros(len(raw))
-        for k in range(len(raw)):
-            vals = []
-            for sgn in (+1.0, -1.0):
-                r = raw.copy()
-                r[k] += sgn * h
-                o = nn.head_forward(head, r)
-                vals.append(nn.loss_eval(kind, o.R, o.q, R_gt, q_gt)[0])
-            fd[k] = (vals[0] - vals[1]) / (2 * h)
-        assert np.abs(ana - fd).max() / max(1.0, np.abs(ana).max()) < 1e-4
+    n = 30
+    raw = valid_raws(head, rng, 3 * n)
+    R_gt, q_gt = random_rotations(3 * n, rng)
+    if kind == "ang":  # keep clear of the pi branch
+        keep = so3.d_ang(nn.head_forward(head, raw)[1], R_gt) <= 3.0
+        raw, R_gt, q_gt = raw[keep], R_gt[keep], q_gt[keep]
+    raw, R_gt, q_gt = raw[:n], R_gt[:n], q_gt[:n]
+    assert len(raw) == n
+    q, R, _, aux, _ = nn.head_forward(head, raw)
+    _, gq, gR = nn.loss_eval(kind, q, R, q_gt, R_gt)
+    ana = nn.head_backward(head, raw, q, aux, gq, gR)
+    fd = fd_through_head(head, raw, lambda q, R: nn.loss_eval(
+        kind, q, R, q_gt[:, None, None], R_gt[:, None, None])[0], 1e-6)
+    assert np.all(rel_max_error(ana, fd) < 1e-4)
 
 
 # -- Adam -------------------------------------------------------------------------
@@ -265,17 +261,17 @@ def test_end_to_end_gradcheck_tiny_net(head):
 
     def total_loss():
         raw, _ = nn.forward(net, x)
-        q, R, _, _, valid = nn._batch_head(head, raw)
+        q, R, _, _, valid = nn.head_forward(head, raw)
         assert valid.all()
-        loss, _, _ = nn._batch_loss("chord", q, R, q_gt, R_gt)
+        loss, _, _ = nn.loss_eval("chord", q, R, q_gt, R_gt)
         return float(np.mean(loss))
 
     raw, cache = nn.forward(net, x)
-    q, R, _, aux, valid = nn._batch_head(head, raw)
-    loss, gq, gR = nn._batch_loss("chord", q, R, q_gt, R_gt)
+    q, R, _, aux, valid = nn.head_forward(head, raw)
+    loss, gq, gR = nn.loss_eval("chord", q, R, q_gt, R_gt)
     scale = np.full(3, 1.0 / 3.0)
     gR = gR * scale[:, None, None]
-    grad_raw = nn._batch_head_backward(head, raw, q, aux, None, gR)
+    grad_raw = nn.head_backward(head, raw, q, aux, None, gR)
     grads = nn.backward(net, cache, grad_raw)
     analytic = []
     for dW, db in grads:
@@ -400,7 +396,7 @@ def test_trained_norm_metric_tracks_trace(smoke_trials):
     cfg = small_cfg()
     x, _, _ = nn.sample_batch(cfg, np.random.default_rng(3), 200)
     raw, _ = nn.forward(trial.net, x)
-    _, _, traces, _, _ = nn._sym_head_forward(raw)
+    _, _, traces, _, _ = nn.head_forward("A", raw)
     norms = np.linalg.norm(raw, axis=-1)
     rank = lambda a: np.argsort(np.argsort(a))
     rho = np.corrcoef(rank(norms), rank(np.abs(traces)))[0, 1]
@@ -410,7 +406,7 @@ def test_trained_norm_metric_tracks_trace(smoke_trials):
 def test_degenerate_batch_samples_are_masked():
     raws = np.stack([symrep.A_to_theta(np.eye(4)),
                      symrep.A_to_theta(np.diag([0.0, 1.0, 2.0, 3.0]))])
-    q, R, trace, dec, valid = nn._sym_head_forward(raws)
+    q, R, trace, dec, valid = nn.head_forward("A", raws)
     assert not valid[0] and valid[1]
     assert np.allclose(q[1], [1, 0, 0, 0])
 
@@ -628,9 +624,12 @@ def test_leaky_relu_matches_where_reference():
 
 def test_unknown_head_raises_value_error():
     with pytest.raises(ValueError, match="unknown head 'foo'"):
-        nn.head_forward("foo", [1.0])
+        nn.head_forward("foo", [[1.0]])
     with pytest.raises(ValueError, match="unknown head 'foo'"):
-        nn.head_backward("foo", [1.0], grad_q=[1.0])
+        nn.head_backward("foo", [[1.0]], None, None, [[1.0]], None)
+    for raw in (np.zeros((2, 10)), np.zeros(4)):  # a width for another head; not a batch
+        with pytest.raises(ValueError, match=r"head 'quat' expects \(B, 4\) input"):
+            nn.head_forward("quat", raw)
 
 
 def test_sixd_training_skips_rot_to_quat(monkeypatch):
@@ -644,10 +643,8 @@ def test_sixd_training_skips_rot_to_quat(monkeypatch):
     monkeypatch.setattr(so3, "rot_to_quat", counted)
     nn.train_single(small_cfg(head="6d", epochs=2), "6d")
     assert calls == []
-    # The single-sample wrapper still reports q, bitwise as the batched Shepperd readout.
-    out = nn.head_forward("6d", [1.0, 0.2, -0.3, 0.1, 1.0, 0.4])
-    assert calls == [(1, 3, 3)]
-    assert np.array_equal(out.q, original(out.R[None])[0])
+    q, _, _, _, valid = nn.head_forward("6d", [[1.0, 0.2, -0.3, 0.1, 1.0, 0.4]])
+    assert q is None and valid.all() and calls == []
 
 
 # -- lean hot path against the out-of-place oracles ---------------------------------
@@ -688,10 +685,10 @@ def test_forward_and_backward_equal_out_of_place_oracle(last):
     assert _same_bits(g, g_before)  # grad_raw is not written, even under a leaky last layer
     for (dW, db), (dW_ref, db_ref) in zip(grads, backward_reference(net, cache_ref, g)):
         assert _same_bits(dW, dW_ref) and _same_bits(db, db_ref)
-    raw1, cache1 = nn.forward(net, x[2])
-    assert _same_bits(raw1, forward_reference(net, x[2])[0])
-    for (dW, db), (dW_ref, db_ref) in zip(nn.backward(net, cache1, g[2]),
-                                          backward_reference(net, forward_reference(net, x[2])[1], g[2])):
+    raw1, cache1 = nn.forward(net, x[2:3])
+    assert _same_bits(raw1, forward_reference(net, x[2:3])[0])
+    for (dW, db), (dW_ref, db_ref) in zip(nn.backward(net, cache1, g[2:3]),
+                                          backward_reference(net, forward_reference(net, x[2:3])[1], g[2:3])):
         assert _same_bits(dW, dW_ref) and _same_bits(db, db_ref)
 
 

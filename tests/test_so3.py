@@ -3,7 +3,7 @@ import pytest
 
 from so3sym import so3
 
-from util import hamilton_reference, random_rotations
+from util import hamilton_reference, is_rotation, random_rotations
 
 
 def test_quat_to_rot_identity():
@@ -170,21 +170,21 @@ def test_product_matrices_conjugation():
 
 
 def test_sixd_to_rot():
-    assert np.allclose(so3.sixd_to_rot([1, 0, 0, 0, 1, 0]), np.eye(3))
+    R, valid = so3.sixd_to_rot_masked([1, 0, 0, 0, 1, 0])
+    assert valid and np.allclose(R, np.eye(3))
     rng = np.random.default_rng(14)
     s = rng.standard_normal((500, 6))
-    R = so3.sixd_to_rot(s)
-    assert so3.is_rotation(R, tol=1e-9)
+    R, valid = so3.sixd_to_rot_masked(s)
+    assert valid.all() and is_rotation(R, tol=1e-9)
     # scale invariance in both inputs
     scaled = s * np.concatenate([np.full(3, 2.7), np.full(3, 0.3)])
-    assert np.abs(so3.sixd_to_rot(scaled) - R).max() < 1e-12
+    assert np.abs(so3.sixd_to_rot_masked(scaled)[0] - R).max() < 1e-12
 
 
 def test_sixd_degenerate():
-    with pytest.raises(ValueError):
-        so3.sixd_to_rot([0, 0, 0, 0, 1, 0])
-    with pytest.raises(ValueError):
-        so3.sixd_to_rot([1, 0, 0, 2, 0, 0])
+    # a1 near zero; a2 in span(a1)
+    _, valid = so3.sixd_to_rot_masked([[0, 0, 0, 0, 1, 0], [1, 0, 0, 2, 0, 0]])
+    assert valid.tolist() == [False, False]
 
 
 def test_sixd_to_rot_masked_matches_and_masks():
@@ -195,7 +195,7 @@ def test_sixd_to_rot_masked_matches_and_masks():
     R, valid = so3.sixd_to_rot_masked(s)
     assert valid.sum() == 48 and not valid[3] and not valid[7]
     assert np.array_equal(R[~valid], np.broadcast_to(np.eye(3), (2, 3, 3)))
-    assert np.array_equal(R[valid], so3.sixd_to_rot(s[valid]))
+    assert np.array_equal(R[valid], so3.sixd_to_rot_masked(s[valid])[0])
 
 
 def test_canonicalize_quat_rules():

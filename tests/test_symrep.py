@@ -4,7 +4,7 @@ import pytest
 from so3sym import nn, so3, symrep
 from so3sym.symrep import DegenerateEigenspace
 
-from util import eig4_bisection_oracle, qcqp_forward_reference, symeig4_reference
+from util import eig4_bisection_oracle, pinv4_sym, qcqp_forward_reference, symeig4_reference
 
 
 def rand_sym(rng, n=None):
@@ -187,9 +187,9 @@ def test_jacobian_annihilates_mode_outer_product():
     rng = np.random.default_rng(9)
     A = rand_sym(rng)
     q, _ = symrep.qcqp_solve(A)
-    J = symrep.qcqp_jacobian(A)
+    J = symrep.qcqp_jacobian_theta(A)
     dA = np.outer(q, q)
-    assert np.abs(J @ dA.reshape(16, order="F")).max() < 1e-12
+    assert np.abs(J @ symrep.A_to_theta(dA)).max() < 1e-12
 
 
 def test_jacobian_closed_form_at_section():
@@ -197,9 +197,10 @@ def test_jacobian_closed_form_at_section():
     q = so3.random_quats(1, rng)[0]
     A = symrep.smooth_section(q)
     q_star, _ = symrep.qcqp_solve(A)
-    J = symrep.qcqp_jacobian(A)
-    # pinv(l1 I - A) = -(I - q q^T) at the section point
-    expect = np.kron(q_star[None, :], -(np.eye(4) - np.outer(q_star, q_star)))
+    J = symrep.qcqp_jacobian_theta(A)
+    # dq* = pinv(l1 I - A) dA q*, and pinv(l1 I - A) = -(I - q q^T) at the section point
+    E = symrep.theta_to_A(np.eye(10))  # dA of each theta entry
+    expect = -(np.eye(4) - np.outer(q_star, q_star)) @ (E @ q_star).T
     assert np.abs(J - expect).max() < 1e-12
 
 
@@ -221,7 +222,10 @@ def test_jacobian_finite_differences():
 def test_jacobian_theta_diagonal_columns_match_vec():
     rng = np.random.default_rng(12)
     A = rand_sym(rng)
-    J = symrep.qcqp_jacobian(A)
+    q, _ = symrep.qcqp_solve(A)
+    lam1 = np.linalg.eigvalsh(A)[0]
+    # dq*/dvec(A), column-major vec: q*^T kron pinv(l1 I - A)
+    J = np.kron(q[None, :], pinv4_sym(lam1 * np.eye(4) - A))
     Jt = symrep.qcqp_jacobian_theta(A)
     # theta slots 0, 4, 7, 9 are the diagonal entries (0,0),(1,1),(2,2),(3,3)
     for k, i in [(0, 0), (4, 1), (7, 2), (9, 3)]:
@@ -249,7 +253,7 @@ def test_jacobian_theta_directional():
 
 def test_jacobian_degenerate_raises():
     with pytest.raises(DegenerateEigenspace):
-        symrep.qcqp_jacobian(np.eye(4))
+        symrep.qcqp_jacobian_theta(np.eye(4))
 
 
 def test_jacobian_theta_batch_matches_single():
@@ -272,10 +276,10 @@ def test_jacobian_theta_batch_degenerate_raises():
 def test_training_vjp_matches_jacobian_theta():
     rng = np.random.default_rng(22)
     raw = rng.standard_normal((32, 10))
-    q, _, _, dec, valid = nn._batch_head("A", raw)
+    q, _, _, dec, valid = nn.head_forward("A", raw)
     assert valid.all()
     grad_q = rng.standard_normal((32, 4))
-    grad_raw = nn._batch_head_backward("A", raw, q, dec, grad_q, None)
+    grad_raw = nn.head_backward("A", raw, q, dec, grad_q, None)
     J = symrep.qcqp_jacobian_theta(symrep.theta_to_A(raw))
     expect = np.einsum("nrk,nr->nk", J, grad_q)
     assert np.abs(grad_raw - expect).max() < 1e-12 * max(1.0, np.abs(expect).max())
@@ -300,15 +304,15 @@ def test_theta_to_A_adjoint_identity():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-# -- pseudo-inverse -----------------------------------------------------------
+# -- pseudo-inverse oracle (tests/util.py) --------------------------------------
 
 
 def test_pinv4_identity_and_projector():
-    assert np.allclose(symrep.pinv4_sym(np.eye(4)), np.eye(4))
+    assert np.allclose(pinv4_sym(np.eye(4)), np.eye(4))
     rng = np.random.default_rng(14)
     q = so3.random_quats(1, rng)[0]
     P = np.eye(4) - np.outer(q, q)
-    assert np.abs(symrep.pinv4_sym(P) - P).max() < 1e-12
+    assert np.abs(pinv4_sym(P) - P).max() < 1e-12
 
 
 def test_pinv4_full_rank_matches_inverse():
@@ -317,14 +321,14 @@ def test_pinv4_full_rank_matches_inverse():
         M = rand_sym(rng)
         if np.abs(np.linalg.det(M)) < 1e-3:
             continue
-        assert np.abs(symrep.pinv4_sym(M) - np.linalg.inv(M)).max() < 1e-10
+        assert np.abs(pinv4_sym(M) - np.linalg.inv(M)).max() < 1e-10
 
 
 def test_pinv4_penrose_identities():
     rng = np.random.default_rng(16)
     q = so3.random_quats(1, rng)[0]
     for M in [rand_sym(rng), np.eye(4) - np.outer(q, q), np.zeros((4, 4))]:
-        P = symrep.pinv4_sym(M)
+        P = pinv4_sym(M)
         assert np.abs(M @ P @ M - M).max() < 1e-9
         assert np.abs(P @ M @ P - P).max() < 1e-9
         assert np.abs((M @ P) - (M @ P).T).max() < 1e-9

@@ -11,6 +11,26 @@ def random_rotations(n, rng):
     return so3.quat_to_rot(q), q
 
 
+def is_rotation(R, tol=1e-10):
+    """Check R^T R = I and det R = 1 within tol (Frobenius)."""
+    R = np.asarray(R, dtype=float)
+    if R.shape[-2:] != (3, 3):
+        return False
+    err = np.linalg.norm((np.swapaxes(R, -1, -2) @ R - np.eye(3)).reshape(R.shape[:-2] + (9,)), axis=-1)
+    return bool(np.all(err <= tol) and np.all(np.abs(np.linalg.det(R) - 1.0) <= tol))
+
+
+def pinv4_sym(M, rank_tol=1e-12):
+    """Moore-Penrose pseudo-inverse of symmetric 4x4 matrices, from np.linalg.eigh.
+
+    Eigenvalues with |lambda| <= rank_tol * max|lambda| are treated as zero.
+    """
+    lams, V = np.linalg.eigh(np.asarray(M, dtype=float))
+    cutoff = rank_tol * np.abs(lams).max(axis=-1, keepdims=True)
+    inv = np.where(np.abs(lams) > cutoff, 1.0 / np.where(lams == 0.0, 1.0, lams), 0.0)
+    return (V * inv[..., None, :]) @ np.swapaxes(V, -1, -2)
+
+
 def hamilton_reference(q1, q2):
     """Hamilton product evaluated component by component (scalar-last)."""
     x1, y1, z1, w1 = q1
@@ -172,21 +192,19 @@ def qcqp_forward_reference(A, gap_tol=1e-8):
 
 def forward_reference(net, x):
     """nn.forward with a fresh array per activation; cache[l] is (input, pre-activation, kind)."""
-    a = np.atleast_2d(np.asarray(x, dtype=float))
+    a = np.asarray(x, dtype=float)
     cache = []
     for W, b, act in zip(net.weights, net.biases, net.activations):
         z = a @ W.T
         z += b
         cache.append((a, z, act))
         a = np.maximum(z, 0.01 * z) if act == "leaky_relu" else z
-    return (a[0] if np.ndim(x) == 1 else a), cache
+    return a, cache
 
 
 def backward_reference(net, cache, grad_raw):
     """nn.backward on a forward_reference cache, masking on the pre-activation."""
     g = np.asarray(grad_raw, dtype=float)
-    if g.ndim == 1:
-        g = g[None, :]
     grads = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, -1, -1):
         a_prev, z, act = cache[l]
