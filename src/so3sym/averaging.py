@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .so3 import canonicalize_quat
-from .symrep import DEFAULT_GAP_TOL, qcqp_solve
+from .symrep import qcqp_solve
 
 
 def _as_quats(quats):
@@ -45,7 +45,7 @@ def inertia_matrix(quats, weights=None):
     return 0.5 * (M + M.T)
 
 
-def chordal_mean(quats, weights=None, gap_tol=DEFAULT_GAP_TOL):
+def chordal_mean(quats, weights=None):
     """Minimizer of sum_i w_i d_chord(R(q), R(q_i))^2 over unit quaternions.
 
     Sign-blind in the inputs (outer products discard sign) and invariant
@@ -57,11 +57,11 @@ def chordal_mean(quats, weights=None, gap_tol=DEFAULT_GAP_TOL):
     if len(q) == 0:
         raise ValueError("chordal_mean requires at least one quaternion")
     # The layer extracts the minimum eigenvector; the average needs the maximum.
-    mean, _ = qcqp_solve(-inertia_matrix(q, weights), gap_tol=gap_tol)
+    mean, _ = qcqp_solve(-inertia_matrix(q, weights))
     return mean
 
 
-def quat_mean(quats, eps=1e-9):
+def quat_mean(quats):
     """Normalized sum after flipping each q_i to nonnegative dot with q_1.
 
     Minimizes sum_i d_quat(q, q_i)^2 on the aligned hemisphere. The
@@ -74,6 +74,6 @@ def quat_mean(quats, eps=1e-9):
     signs = np.where(q @ q[0] < 0, -1.0, 1.0)
     total = np.sum(q * signs[:, None], axis=0)
     norm = np.linalg.norm(total)
-    if norm < eps:
+    if norm < 1e-9:
         raise ValueError(f"quaternion mean undefined: aligned sum has norm {norm:.3e}")
     return canonicalize_quat(total / norm)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symrep import (DEFAULT_GAP_TOL, _dispersion_trace, _lapack_input, _raise_if_degenerate,
-                     qcqp_forward)
+from .symrep import _dispersion_trace, _lapack_input, qcqp_solve
 
 
 @dataclass(frozen=True)
@@ -38,17 +37,13 @@ class BinghamBelief:
         return self.axes[:, 3]
 
 
-def belief_from_A(A, gap_tol=DEFAULT_GAP_TOL):
+def belief_from_A(A):
     """Diagonalize -A into a Bingham belief.
 
     Requires a simple minimum eigenvalue of A so the mode is unique;
-    raises DegenerateEigenspace otherwise.
+    raises DegenerateEigenspace otherwise (the qcqp_solve gate).
     """
-    if np.shape(A) != (4, 4):
-        raise ValueError(f"belief_from_A expects a single (4, 4) matrix, got {np.shape(A)}")
-    mode, dec, valid = qcqp_forward(A, gap_tol)
-    if not valid:
-        _raise_if_degenerate(valid, dec, gap_tol)
+    mode, dec = qcqp_solve(A)
     lams = dec.lambdas
     axes = dec.vectors[:, ::-1].copy()
     axes[:, 3] = mode

@@ -24,8 +24,8 @@ import numpy as np
 
 from .averaging import chordal_mean, quat_mean
 from .so3 import canonicalize_quat, d_ang, d_chord, d_quat, quat_to_rot
-from .symrep import (DEFAULT_GAP_TOL, A_to_theta, DegenerateEigenspace, EigenDecomp4,
-                     _raise_if_degenerate, qcqp_forward, qcqp_jacobian_theta, theta_to_A)
+from .symrep import (A_to_theta, DegenerateEigenspace, EigenDecomp4, qcqp_forward,
+                     qcqp_jacobian_theta, qcqp_solve, theta_to_A)
 from .wahba import (
     CORRUPTIONS,
     InputError,
@@ -49,18 +49,18 @@ def _fmt(x):
 # grad-check
 
 
-def run_grad_check(count=1000, seed=0, tolerance=1e-5, step=1e-5,
-                   min_rel_gap=1e-2, self_test=False):
+def run_grad_check(count=1000, seed=0, tolerance=1e-5, min_rel_gap=1e-2, self_test=False):
     """Finite-difference certification of the analytic QCQP Jacobian.
 
     Draws random symmetric matrices with eigengap >= min_rel_gap *
     max(1, ||A||_F), compares the analytic dq*/dtheta (qcqp_jacobian_theta,
     the VJP training runs applied to the identity) against central
-    differences with perturbed eigenvectors sign-aligned to the base.
+    differences of step 1e-5 with perturbed eigenvectors sign-aligned to the base.
     With self_test=True the analytic Jacobian is sign-flipped first; the
     check must then fail (negative control). Returns a report dict.
     """
     rng = rng_for(seed, 101)
+    step = 1e-5
     # Keep the filter's readout and decomposition of every kept matrix: symeig4
     # is per-matrix deterministic, so they equal a fresh decomposition of A.
     parts = []
@@ -124,9 +124,7 @@ def cmd_wahba(args):
             num_matches=args.n, sigma=args.sigma, phi_max=np.deg2rad(args.phi_max_deg), seed=args.seed))
     else:
         corr = read_correspondences_csv(args.input)
-    q, dec, valid = qcqp_forward(build_data_matrix(corr))
-    if not valid:
-        _raise_if_degenerate(valid, dec, DEFAULT_GAP_TOL)
+    q, dec = qcqp_solve(build_data_matrix(corr))
     print(f"pairs: {len(corr)}")
     print(f"q_star: {_fmt(q[0])} {_fmt(q[1])} {_fmt(q[2])} {_fmt(q[3])}")
     print(f"eigengap: {_fmt(dec.eigengap)}")
@@ -282,7 +280,7 @@ def cmd_avg(args):
 def _bounded(kind, lo, hi=math.inf, lo_open=False):
     """argparse type: a finite int or float (`kind`) >= lo, or > lo when lo_open, and <= hi."""
     what = (f"{'an integer' if kind is int else 'a finite number'} {'>' if lo_open else '>='} {lo:g}"
-            + (f" and <= {hi:g}" if hi < math.inf else ""))
+            + (f" and <= {hi}" if hi < math.inf else ""))
 
     def parse(text):
         x = kind(text)  # argparse reports its ValueError as "invalid <kind> value"
@@ -294,6 +292,9 @@ def _bounded(kind, lo, hi=math.inf, lo_open=False):
 
 
 def build_parser():
+    # The upper bounds of --count, --n and --mix follow nn.SIZE_BOUNDS: one flag at its bound,
+    # with the rest at their defaults (and, for dt-eval, a default-config model), peaks under
+    # 200 MB, so a typo cannot ask for gigabytes.
     p = argparse.ArgumentParser(
         prog="so3sym",
         description="Symmetric-matrix rotation representation: solver, training, and OOD tools")
@@ -302,7 +303,8 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("grad-check", help="finite-difference check of the QCQP layer Jacobian")
-    g.add_argument("--count", type=_bounded(int, 1), default=1000, help="number of random matrices")
+    g.add_argument("--count", type=_bounded(int, 1, 40_000), default=1000,
+                   help="number of random matrices (at most 40000)")
     g.add_argument("--tolerance", type=_bounded(float, 0, lo_open=True), default=1e-5,
                    help="max relative error allowed")
     g.add_argument("--self-test", action="store_true",
@@ -313,7 +315,8 @@ def build_parser():
     w.add_argument("input", nargs="?", default=None,
                    help="correspondence CSV (header ux,uy,uz,vx,vy,vz,sigma)")
     w.add_argument("--synthetic", action="store_true", help="generate a synthetic instance")
-    w.add_argument("--n", type=_bounded(int, 1), default=100, help="synthetic pair count")
+    w.add_argument("--n", type=_bounded(int, 1, 1_000_000), default=100,
+                   help="synthetic pair count (at most 1000000)")
     w.add_argument("--sigma", type=_bounded(float, 0), default=0.01, help="synthetic noise std-dev")
     w.add_argument("--phi-max-deg", type=_bounded(float, 0, 180, lo_open=True), default=180.0,
                    help="synthetic max angle in degrees, in (0, 180]")
@@ -329,7 +332,8 @@ def build_parser():
     d.add_argument("--corruption", choices=CORRUPTIONS, default="noise")
     d.add_argument("--q", type=_bounded(float, 0, lo_open=True), default=0.75,
                    help="training quantile for the threshold (> 0; >= 1 keeps everything)")
-    d.add_argument("--mix", type=_bounded(int, 1), default=200, help="test mix size (50%% corrupted)")
+    d.add_argument("--mix", type=_bounded(int, 1, 50_000), default=200,
+                   help="test mix size, 50%% corrupted (at most 50000)")
     d.set_defaults(func=cmd_dt_eval)
 
     a = sub.add_parser("avg", help="average a CSV of unit quaternions")

@@ -22,12 +22,13 @@ import json
 import numbers
 import zipfile
 from dataclasses import dataclass, asdict
+from typing import ClassVar
 
 import numpy as np
 
 from . import so3
 from .bingham import _quantile, dt_classify, dt_fit
-from .symrep import DEFAULT_GAP_TOL, qcqp_forward, qcqp_vjp, theta_to_A, theta_to_A_adjoint
+from .symrep import qcqp_forward, qcqp_vjp, theta_to_A, theta_to_A_adjoint
 from .wahba import CORRUPTIONS, InputError, rng_for, sample_rotations
 
 HEADS = ("quat", "6d", "A")
@@ -160,10 +161,10 @@ def _grad_R_to_grad_q(q, grad_R):
     return out
 
 
-def _quat_head_forward(raw, eps=1e-9):
+def _quat_head_forward(raw):
     raw = np.asarray(raw, dtype=float)
     n = np.linalg.norm(raw, axis=-1)
-    valid = n > eps
+    valid = n > 1e-9
     q = raw / np.where(valid, n, 1.0)[..., None]
     q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
     return q, so3.quat_to_rot(q), valid
@@ -203,7 +204,7 @@ def _sixd_head_backward(raw, grad_R):
     return np.concatenate([ga1, ga2], axis=-1)
 
 
-def head_forward(head, raw, gap_tol=DEFAULT_GAP_TOL):
+def head_forward(head, raw):
     """Head readout of a (B, d) batch: (q, R, trace, aux, valid).
 
     q is None for the 6d head: no loss or backward pass it runs reads it. trace
@@ -222,7 +223,7 @@ def head_forward(head, raw, gap_tol=DEFAULT_GAP_TOL):
     if head == "6d":
         R, valid = so3.sixd_to_rot_masked(raw)
         return None, R, None, None, valid
-    q, dec, valid = qcqp_forward(theta_to_A(raw), gap_tol)
+    q, dec, valid = qcqp_forward(theta_to_A(raw))
     q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
     return q, so3.quat_to_rot(q), dec.dispersion_trace, dec, valid
 
@@ -295,17 +296,16 @@ def loss_eval(kind, q, R, q_gt, R_gt):
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = None
     v: list = None
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
 
-def adam_init(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                     m=[np.zeros_like(p) for p in params],
+def adam_init(params, lr):
+    return AdamState(lr=lr, step=0, m=[np.zeros_like(p) for p in params],
                      v=[np.zeros_like(p) for p in params])
 
 
@@ -551,18 +551,22 @@ def _stats_row(trial, seed, lr, epoch, split, head, errs_deg):
                     mean_deg=mean, median_deg=med, p10_deg=p10, p90_deg=p90)
 
 
-def _diverged(where):
-    return FloatingPointError(f"training diverged at {where}: network output is not finite")
+def _readout(net, head, x, where):
+    """(raw, cache, head_forward(head, raw)) of a batch.
 
-
-def evaluate(net, head, x, R_gt, where, gap_tol=DEFAULT_GAP_TOL):
-    """(errors_deg over valid, traces, valid mask) of a batch; a non-finite net output raises."""
-    raw, _ = forward(net, x)
+    A non-finite net output raises FloatingPointError naming `where` before the
+    head reads it.
+    """
+    raw, cache = forward(net, x)
     if not np.isfinite(raw).all():
-        raise _diverged(where)
-    q, R, trace, _, valid = head_forward(head, raw, gap_tol)
-    errs = _angular_errors_deg(R, R_gt, valid)
-    return errs, trace, valid
+        raise FloatingPointError(f"{where}: network output is not finite")
+    return raw, cache, head_forward(head, raw)
+
+
+def evaluate(net, head, x, R_gt, where):
+    """Angular errors in degrees over the valid samples of a batch; a non-finite net output raises."""
+    _, _, (_, R, _, _, valid) = _readout(net, head, x, where)
+    return _angular_errors_deg(R, R_gt, valid)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence raises below, without warnings first
@@ -581,15 +585,15 @@ def train_single(cfg, head, trial=0):
     degenerate = 0
 
     def at(epoch, part):
-        return f"head {head}, trial {trial}, epoch {epoch}, {part}"
+        return f"training diverged at head {head}, trial {trial}, epoch {epoch}, {part}"
 
     def test_row(epoch):
-        errs, _, _ = evaluate(net, head, test_x, test_R, at(epoch, "test set"))
+        errs = evaluate(net, head, test_x, test_R, at(epoch, "test set"))
         rows.append(_stats_row(trial, cfg.seed, lr, epoch, "test", head, errs))
 
     # Epoch-0 baseline: untrained test row plus one untouched training batch.
     base_x, _, base_R = sample_batch(cfg, rng_for(cfg.seed, trial, _STREAM_TRAIN, 0, 0), cfg.batch_rotations)
-    errs0, _, _ = evaluate(net, head, base_x, base_R, at(0, "batch 0"))
+    errs0 = evaluate(net, head, base_x, base_R, at(0, "batch 0"))
     rows.append(_stats_row(trial, cfg.seed, lr, 0, "train", head, errs0))
     test_row(0)
 
@@ -599,10 +603,7 @@ def train_single(cfg, head, trial=0):
         for batch in range(cfg.batches_per_epoch):
             rng = rng_for(cfg.seed, trial, _STREAM_TRAIN, epoch, batch)
             x, q_gt, R_gt = sample_batch(cfg, rng, cfg.batch_rotations)
-            raw, cache = forward(net, x)
-            if not np.isfinite(raw).all():
-                raise _diverged(at(epoch, f"batch {batch}"))
-            q, R, _, aux, valid = head_forward(head, raw)
+            raw, cache, (q, R, _, aux, valid) = _readout(net, head, x, at(epoch, f"batch {batch}"))
             n_valid = int(valid.sum())
             degenerate += int((~valid).sum())
             epoch_errs.append(_angular_errors_deg(R, R_gt, valid))
@@ -680,6 +681,7 @@ class DTReport:
         return float(np.mean(self.errors_deg[self.kept]))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite output raises below, without warnings first
 def dt_evaluate(net, cfg, q, corruption, rng, n_mix=200, n_reference=1000):
     """Threshold dispersion traces at the q-quantile and score a 50/50 mix.
 
@@ -687,20 +689,20 @@ def dt_evaluate(net, cfg, q, corruption, rng, n_mix=200, n_reference=1000):
     (the training set is dynamically resampled, so these share its
     distribution). Half the n_mix test samples are corrupted; q >= 1
     disables rejection entirely (every sample kept, precision undefined).
+    A non-finite net output raises FloatingPointError naming the block.
     """
     if corruption not in CORRUPTIONS:
         raise ValueError(f"unknown corruption {corruption!r}; choose from {CORRUPTIONS}")
     n_corrupt = 0 if corruption == "none" else n_mix // 2
     n_clean = n_mix - n_corrupt
     # Reference, clean and corrupted blocks, drawn from rng in this order.
-    blocks = [(n_reference, "none"), (n_clean, "none")]
+    blocks = [(n_reference, "none", "reference"), (n_clean, "none", "clean")]
     if n_corrupt:
-        blocks.append((n_corrupt, corruption))
+        blocks.append((n_corrupt, corruption, "corrupted"))
     traces, rotations = [], []
-    for n, kind in blocks:
+    for n, kind, name in blocks:
         x, _, R_gt = sample_batch(cfg, rng, n, corruption=kind)
-        raw, _ = forward(net, x)
-        _, R, trace, _, _ = head_forward("A", raw)
+        _, _, (_, R, trace, _, _) = _readout(net, "A", x, f"dt-eval {name} block")
         traces.append(trace)
         rotations.append((R, R_gt))
     threshold = dt_fit(traces[0], min(q, 1.0))

@@ -24,12 +24,12 @@ def _as_farray(x, name, last_dims):
     return a
 
 
-def normalize_quat(q, eps=1e-9):
-    """Scale q to unit norm. Raises on norms below eps."""
+def normalize_quat(q):
+    """Scale q to unit norm. Raises on norms below 1e-9."""
     q = _as_farray(q, "quaternion", (4,))
     n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(n < eps):
-        raise ValueError(f"cannot normalize quaternion with norm < {eps}")
+    if np.any(n < 1e-9):
+        raise ValueError("cannot normalize quaternion with norm < 1e-09")
     return q / n
 
 
@@ -259,14 +259,15 @@ def d_ang(R, R_gt):
     return np.arctan2(s, c)
 
 
-def sixd_to_rot_masked(s, eps=1e-9):
+def sixd_to_rot_masked(s):
     """Batched Gram-Schmidt of (..., 6) inputs: (R, valid), never raises.
 
     Columns of R are (b1, b2, b1 x b2) with b1 = a1/||a1|| and b2 the unit
-    part of a2 orthogonal to b1. valid is False where ||a1|| < eps or that
-    orthogonal part has norm < eps; R is the identity there.
+    part of a2 orthogonal to b1. valid is False where ||a1|| < 1e-9 or that
+    orthogonal part has norm < 1e-9; R is the identity there.
     """
     s = _as_farray(s, "sixd", (6,))
+    eps = 1e-9
     a1, a2 = s[..., :3], s[..., 3:]
     n1 = np.linalg.norm(a1, axis=-1)
     b1 = a1 / np.where(n1 >= eps, n1, 1.0)[..., None]

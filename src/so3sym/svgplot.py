@@ -50,12 +50,13 @@ def _band_path(xs, lo, hi):
     return "M " + " L ".join(fwd + back) + " Z"
 
 
-def render_learning_curves(rows, path, split="test", title="Test angular error"):
-    """Write percentile-band curves (p10..p90 fill, median line) per head.
+def render_learning_curves(rows, path):
+    """Write test-split percentile-band curves (p10..p90 fill, median line) per head.
 
     rows are EpochRow-like objects; curves aggregate the per-epoch
     percentile fields across trials by their median.
     """
+    split = "test"
     rows = [r for r in rows if r.split == split]
     if not rows:
         raise ValueError(f"no rows with split {split!r}")
@@ -84,8 +85,7 @@ def render_learning_curves(rows, path, split="test", title="Test angular error")
         f"<!-- split={split} epochs={epochs[0]}..{epochs[-1]} heads={','.join(heads)} -->",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="22" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{_escape(title)} '
-        f'({_escape(split)})</text>',
+        f'font-family="sans-serif">Test angular error ({split})</text>',
     ]
 
     # Axes with a handful of ticks.

@@ -9,7 +9,8 @@ vector-Jacobian product is grad_A = (pinv(lambda1 I - A) grad_q) q*^T.
 
 This module is the only one that knows how the QCQP layer works:
 `qcqp_forward` is the batched readout and holds the eigengap gate,
-`qcqp_vjp` its backward pass, and `theta_to_A_adjoint` pulls matrix
+`qcqp_solve` the single-matrix readout that raises where the gate fails,
+`qcqp_vjp` the backward pass, and `theta_to_A_adjoint` pulls matrix
 gradients back to theta. The eigensolver is batched LAPACK `eigh` with a
 canonical eigenvector sign, so results are deterministic per matrix.
 """
@@ -88,26 +89,14 @@ def theta_to_A_adjoint(grad_A):
     return grad_A[..., _ROWS, _COLS] + np.where(_ROWS != _COLS, grad_A[..., _COLS, _ROWS], 0.0)
 
 
-def _check_symmetric(A):
-    """Symmetrize A if its skew is within 1e-12 of its scale; raise if asymmetric or non-finite."""
-    scale =np.maximum(np.abs(A).max(axis=(-2, -1)), 1.0)
-    skew = np.abs(A - np.swapaxes(A, -1, -2)).max(axis=(-2, -1))
-    if np.any(skew > 1e-12 * scale):
-        raise ValueError("matrix is not symmetric")
-    S = 0.5 * (A + np.swapaxes(A, -1, -2))
-    if not np.all(np.isfinite(S)):
-        raise ValueError("matrix has non-finite entries")
-    return S
-
-
 def _lapack_input(A):
     """The symmetric (..., 4, 4) array handed to LAPACK for A.
 
     Exactly symmetric finite input is passed on as it is, without the
     symmetrizing sum that overflows near the float limit. On a single
-    matrix this is decided by comparing Python scalars. Anything else goes
-    through _check_symmetric: near-symmetric input (skew within 1e-12 of
-    the scale) is symmetrized, the rest raises ValueError.
+    matrix this is decided by comparing Python scalars. Near-symmetric input
+    (skew within 1e-12 of the scale) is symmetrized; asymmetric or
+    non-finite input raises ValueError.
     """
     A = np.asarray(A, dtype=float)
     if A.shape == (4, 4):
@@ -124,9 +113,15 @@ def _lapack_input(A):
     # give NaN). A - d keeps A's values and gives each zero the sign that
     # 0.5 * (A + A^T) would.
     d = A - np.swapaxes(A, -1, -2)
-    if d.any():
-        return _check_symmetric(A)
-    return A - d
+    if not d.any():
+        return A - d
+    scale = np.maximum(np.abs(A).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(d).max(axis=(-2, -1)) > 1e-12 * scale):
+        raise ValueError("matrix is not symmetric")
+    S = 0.5 * (A + np.swapaxes(A, -1, -2))
+    if not np.all(np.isfinite(S)):
+        raise ValueError("matrix has non-finite entries")
+    return S
 
 
 def symeig4(A):
@@ -172,7 +167,7 @@ def qcqp_forward(A, gap_tol=DEFAULT_GAP_TOL, decomp=None):
     return q, decomp, valid
 
 
-def _raise_if_degenerate(valid, decomp, gap_tol):
+def _raise_if_degenerate(valid, decomp):
     """Raise DegenerateEigenspace unless qcqp_forward's valid is all True.
 
     This is the one message for a non-simple minimum eigenvalue; it names the
@@ -183,7 +178,7 @@ def _raise_if_degenerate(valid, decomp, gap_tol):
         where = f" in {np.count_nonzero(~valid)} of {valid.size} matrices" if valid.ndim else ""
         raise DegenerateEigenspace(
             f"minimum eigenvalue is not simple{where} "
-            f"(gap {gap:.3e} < {gap_tol:.1e} * max(1, ||A||_F))")
+            f"(gap {gap:.3e} < {DEFAULT_GAP_TOL:.1e} * max(1, ||A||_F))")
 
 
 def qcqp_vjp(decomp, q, grad_q):
@@ -203,30 +198,30 @@ def qcqp_vjp(decomp, q, grad_q):
     return Mg[..., :, None] * q[..., None, :]
 
 
-def qcqp_solve(A, gap_tol=DEFAULT_GAP_TOL):
+def qcqp_solve(A):
     """Minimize q^T A q over unit quaternions for a single symmetric A.
 
-    Returns (q_star, eigengap) with q_star in canonical sign. Raises
-    DegenerateEigenspace when lambda2 - lambda1 < gap_tol * max(1, ||A||_F).
+    Returns (q_star, decomp): q_star in canonical sign and the symeig4(A) it
+    came from. Raises DegenerateEigenspace when
+    lambda2 - lambda1 < DEFAULT_GAP_TOL * max(1, ||A||_F).
     """
     if np.shape(A) != (4, 4):
-        raise ValueError(f"qcqp_solve expects a single (4, 4) matrix, got {np.shape(A)}")
-    q, dec, valid = qcqp_forward(A, gap_tol)
+        raise ValueError(f"expected a single (4, 4) matrix, got {np.shape(A)}")
+    q, dec, valid = qcqp_forward(A)
     if not valid:
-        _raise_if_degenerate(valid, dec, gap_tol)
-    lams = dec.lambdas
-    return q, float(lams[1]) - float(lams[0])
+        _raise_if_degenerate(valid, dec)
+    return q, dec
 
 
-def qcqp_jacobian_theta(A, decomp=None, gap_tol=DEFAULT_GAP_TOL):
+def qcqp_jacobian_theta(A, decomp=None):
     """(..., 4, 10) Jacobian dq*/dtheta of the canonical-sign readout.
 
     qcqp_vjp applied to the rows of I, pulled back through theta_to_A: the
     gradient training runs, as one matrix per A. Raises DegenerateEigenspace
     unless every minimum eigenvalue is simple.
     """
-    q, dec, valid = qcqp_forward(A, gap_tol, decomp)
-    _raise_if_degenerate(valid, dec, gap_tol)
+    q, dec, valid = qcqp_forward(A, decomp=decomp)
+    _raise_if_degenerate(valid, dec)
     rows = EigenDecomp4(dec.lambdas[..., None, :], dec.vectors[..., None, :, :])
     return theta_to_A_adjoint(qcqp_vjp(rows, q[..., None, :], np.eye(4)))
 

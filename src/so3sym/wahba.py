@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .so3 import canonicalize_quat, exp_map, quat_left_matrix, quat_right_matrix
-from .symrep import DEFAULT_GAP_TOL, qcqp_solve
+from .symrep import qcqp_solve
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class SyntheticConfig:
     num_matches: pairs per instance; u_i uniform on the unit sphere.
     sigma: noise standard deviation (>= 0).
     phi_max: rotation-angle cap in radians; angles drawn U[0, phi_max).
-    seed: RNG seed when no generator is supplied.
+    seed: seed of the instance's random stream, rng_for(seed).
     """
 
     num_matches: int
@@ -119,13 +119,13 @@ def build_data_matrix(c):
     return 0.5 * (A + A.T)
 
 
-def solve_wahba(c, gap_tol=DEFAULT_GAP_TOL):
+def solve_wahba(c):
     """Optimal unit quaternion (canonical sign) for the correspondence set.
 
     Raises DegenerateEigenspace when the observations do not pin down a
     unique rotation (e.g. all u collinear).
     """
-    q, _ = qcqp_solve(build_data_matrix(c), gap_tol=gap_tol)
+    q, _ = qcqp_solve(build_data_matrix(c))
     return q
 
 
@@ -150,15 +150,14 @@ def sample_rotations(n, phi_max, rng):
     return exp_map(phi[:, None] * a), canonicalize_quat(q)
 
 
-def sample_synthetic(cfg, rng=None):
+def sample_synthetic(cfg):
     """Draw (R_hat, correspondences) from the generative model.
 
-    Deterministic for a fixed cfg.seed when rng is omitted. Per-pair sigma
-    is cfg.sigma, or 1.0 in the noiseless case (weights must stay positive;
-    uniform weights do not change the optimum).
+    Deterministic for a fixed cfg.seed. Per-pair sigma is cfg.sigma, or 1.0
+    in the noiseless case (weights must stay positive; uniform weights do
+    not change the optimum).
     """
-    if rng is None:
-        rng = rng_for(cfg.seed)
+    rng = rng_for(cfg.seed)
     (R_hat,), _ = sample_rotations(1, cfg.phi_max, rng)
     u = sample_unit_sphere(cfg.num_matches, rng)
     v = u @ R_hat.T

@@ -146,6 +146,15 @@ def _model_npz(in_dim=60, out_dim=10, activations=None):
     return buf.getvalue()
 
 
+def _overflowing_model_npz():
+    """Bytes of a finite A-head model whose weights, 1e200 times too large, overflow its output."""
+    net = nn.init_net(60, (8,), 10, np.random.default_rng(0))
+    net.weights = [1e200 * W for W in net.weights]
+    buf = io.BytesIO()
+    nn.save_model(buf, net, "A", nn.TrainConfig())
+    return buf.getvalue()
+
+
 _TRAIN = ["--out", "{d}/out", "train", "{d}/cfg.json"]
 _DT_EVAL = ["--out", "{d}", "dt-eval", "{d}/m.npz"]
 _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the data matrix overflows
@@ -183,11 +192,20 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
     ({"cfg.json": '{"hidden_widths": [128, 100000]}'}, _TRAIN, 2, "hidden_widths"),
     ({"q.csv": _QUATS + "1,0,0,0,1e160\n"}, ["avg", "{d}/q.csv"], 2, "q.csv: line 3: weights"),
     ({"q.csv": _QUATS + "1,0,0,0,1e308\n"}, ["avg", "{d}/q.csv"], 2, "q.csv: line 3: weights"),
+    ({"m.npz": _overflowing_model_npz()}, _DT_EVAL, 1,
+     "error: dt-eval reference block: network output is not finite"),
+    ({}, ["grad-check", "--count", "1000000000000000"], 2,
+     "argument --count: must be an integer >= 1 and <= 40000"),
+    ({}, ["wahba", "--synthetic", "--n", "1000000000000000"], 2,
+     "argument --n: must be an integer >= 1 and <= 1000000"),
+    ({}, ["dt-eval", "{d}/m.npz", "--mix", "1000000000"], 2,
+     "argument --mix: must be an integer >= 1 and <= 50000"),
 ], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
         "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
         "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
         "model-input-width", "model-output-width", "model-activation", "phi-max-200",
-        "matches-over-bound", "width-over-bound", "avg-weight-1e160", "avg-weight-1e308"])
+        "matches-over-bound", "width-over-bound", "avg-weight-1e160", "avg-weight-1e308",
+        "dt-eval-output-overflow", "count-over-bound", "n-over-bound", "mix-over-bound"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())

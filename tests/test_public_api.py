@@ -1,9 +1,13 @@
-"""Every public function and class of so3sym has a user outside the tests.
+"""Structure guards: public names, optional parameters and shared private names.
 
 A public name must be used in src/ outside its own definition (the re-export
 list in __init__.py does not count), be used in benchmarks/, or be on
 LIBRARY_API below with the reason it is kept. A test-only twin of the batched
 code therefore fails here instead of coming back unnoticed.
+
+Every parameter with a default on a public function is on SET_DEFAULTS with
+who sets it, and every private name one so3sym module imports from another is
+on SHARED_PRIVATE, so a knob nobody turns or a leaked helper is a visible edit.
 """
 
 import ast
@@ -28,6 +32,35 @@ LIBRARY_API = {
     "bingham.log_density_unnorm": "belief claim: the Bingham density an A encodes",
     "wahba.write_correspondences_csv": "writes the file format the wahba command reads",
     "nn.last_layer_decompose": "the last linear layer as a sum of symmetric-matrix bases",
+}
+
+
+# Parameters with a default on a public function or method, and who sets them.
+SET_DEFAULTS = {
+    "averaging.inertia_matrix.weights": "averaging.chordal_mean passes its weights",
+    "averaging.chordal_mean.weights": "cli avg passes the CSV's weight column",
+    "cli.run_grad_check.count": "cli grad-check --count; benchmarks/run.py",
+    "cli.run_grad_check.seed": "cli --seed; benchmarks/run.py",
+    "cli.run_grad_check.tolerance": "cli grad-check --tolerance",
+    "cli.run_grad_check.self_test": "cli grad-check --self-test; benchmarks/test_smoke.py",
+    "cli.run_grad_check.min_rel_gap": "tests/test_acceptance.py names criterion 1's eigengap filter",
+    "cli.main.argv": "benchmarks/run.py and cliprobe.py pass argument lists; entry() passes none",
+    "nn.sample_batch.corruption": "nn.dt_evaluate's corrupted block; benchmarks/run.py",
+    "nn.train_single.trial": "nn.train_experiment runs each trial",
+    "nn.dt_evaluate.n_mix": "cli dt-eval --mix",
+    "nn.dt_evaluate.n_reference": "benchmarks/run.py scores with its own reference size",
+    "symrep.qcqp_forward.gap_tol": "cli.run_grad_check filters at min_rel_gap; the gate is DEFAULT_GAP_TOL",
+    "symrep.qcqp_forward.decomp": "symrep.qcqp_jacobian_theta passes the decomposition it is given",
+    "symrep.qcqp_jacobian_theta.decomp": "cli.run_grad_check passes its filter's decompositions",
+    "wahba.InputError.__init__.line": "wahba._read_csv_table names the line of the fault",
+}
+
+# Private names one so3sym module imports from another, and why they are shared.
+SHARED_PRIVATE = {
+    "_dispersion_trace": "symrep -> bingham: the one dispersion-trace formula",
+    "_lapack_input": "symrep -> bingham: the symmetry check eigvalsh needs too",
+    "_quantile": "bingham -> nn: np.quantile bit for bit, without importing numpy.ma",
+    "_read_csv_table": "wahba -> cli: the one reader of both CSV formats",
 }
 
 
@@ -75,3 +108,38 @@ def test_library_api_entries_are_public_and_otherwise_unused():
     used = used_names()
     stale = sorted(n for n in LIBRARY_API if n not in public_names() or n.split(".")[1] in used)
     assert stale == [], f"LIBRARY_API entries that are gone or now have a user: {stale}"
+
+
+def defaulted_parameters():
+    """{"module.function.param"} of every parameter with a default on a public function, or on
+    a method written in a public class (not one a dataclass generates)."""
+    found = set()
+    for name in public_names():
+        mod, attr = name.split(".")
+        obj = getattr(importlib.import_module(f"so3sym.{mod}"), attr)
+        funcs = {attr: obj} if inspect.isfunction(obj) else {
+            f"{attr}.{k}": v for k, v in vars(obj).items() if inspect.isfunction(v)}
+        for qual, fn in funcs.items():
+            if inspect.unwrap(fn).__code__.co_filename != str(SRC / f"{mod}.py"):
+                continue
+            found |= {f"{mod}.{qual}.{p.name}" for p in inspect.signature(fn).parameters.values()
+                      if p.default is not inspect.Parameter.empty}
+    return found
+
+
+def test_every_default_is_set_by_someone():
+    found = defaulted_parameters()
+    assert sorted(found - set(SET_DEFAULTS)) == [], (
+        "parameters with a default that no SET_DEFAULTS entry names; make each a constant "
+        "unless a caller sets it, and say who")
+    assert sorted(set(SET_DEFAULTS) - found) == [], "SET_DEFAULTS entries that are gone"
+
+
+def test_private_names_shared_across_modules_are_listed():
+    shared = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                shared |= {a.name for a in node.names if a.name.startswith("_")}
+    assert sorted(shared) == sorted(SHARED_PRIVATE), (
+        "private names imported across so3sym modules differ from SHARED_PRIVATE")
