@@ -40,6 +40,14 @@ from .wahba import (
 RESULTS_SCHEMA = "# so3sym-results v1"
 DT_SCHEMA = "# so3sym-dt v1"
 
+# grad-check draws matrices whose eigengap is at least this times max(1, ||A||_F).
+GRAD_CHECK_MIN_REL_GAP = 1e-2
+
+# dt-eval holds (1000 reference + --mix) samples, each as wide as the model's input plus its
+# layer widths; this bound on their product keeps a run under 200 MB of memory, both with the
+# default config and with matches_per_rotation 1000.
+DT_EVAL_BUDGET = 15_000_000
+
 
 def _fmt(x):
     return f"{float(x):.12g}"
@@ -49,10 +57,10 @@ def _fmt(x):
 # grad-check
 
 
-def run_grad_check(count=1000, seed=0, tolerance=1e-5, min_rel_gap=1e-2, self_test=False):
+def run_grad_check(count=1000, seed=0, tolerance=1e-5, self_test=False):
     """Finite-difference certification of the analytic QCQP Jacobian.
 
-    Draws random symmetric matrices with eigengap >= min_rel_gap *
+    Draws random symmetric matrices with eigengap >= GRAD_CHECK_MIN_REL_GAP *
     max(1, ||A||_F), compares the analytic dq*/dtheta (qcqp_jacobian_theta,
     the VJP training runs applied to the identity) against central
     differences of step 1e-5 with perturbed eigenvectors sign-aligned to the base.
@@ -67,7 +75,7 @@ def run_grad_check(count=1000, seed=0, tolerance=1e-5, min_rel_gap=1e-2, self_te
     while sum(len(p[0]) for p in parts) < count:
         batch = rng.standard_normal((max(64, count), 4, 4))
         batch = 0.5 * (batch + np.swapaxes(batch, -1, -2))
-        q, dec, keep = qcqp_forward(batch, gap_tol=min_rel_gap)
+        q, dec, keep = qcqp_forward(batch, gap_tol=GRAD_CHECK_MIN_REL_GAP)
         parts.append((batch[keep], q[keep], dec.lambdas[keep], dec.vectors[keep]))
     A, q0, lam0, vec0 = (np.concatenate(col)[:count] for col in zip(*parts))
     dec0 = EigenDecomp4(lam0, vec0)
@@ -91,7 +99,7 @@ def run_grad_check(count=1000, seed=0, tolerance=1e-5, min_rel_gap=1e-2, self_te
     max_rel = float(rel.max())
     passed = max_rel <= tolerance
     return {"count": count, "seed": seed, "tolerance": tolerance, "step": step,
-            "min_rel_gap": min_rel_gap, "max_rel_error": max_rel,
+            "min_rel_gap": GRAD_CHECK_MIN_REL_GAP, "max_rel_error": max_rel,
             "self_test": self_test, "passed": passed}
 
 
@@ -189,6 +197,12 @@ def cmd_dt_eval(args):
     if head != "A":
         raise InputError(f"{args.model}: dispersion thresholding requires a symmetric-matrix "
                          f"head model, got {head!r}")
+    width = net.in_dim + sum(W.shape[0] for W in net.weights)
+    most = DT_EVAL_BUDGET // width - 1000
+    if args.mix > most:
+        raise InputError(f"--mix {args.mix} is over {max(most, 0)} for a model of per-sample width "
+                         f"{width} (input plus layer widths): (1000 reference + mix) x width must "
+                         f"stay within {DT_EVAL_BUDGET}")
     os.makedirs(args.out, exist_ok=True)
     rng = rng_for(args.seed, 404)
     report = nn.dt_evaluate(net, cfg, args.q, args.corruption, rng, n_mix=args.mix)
@@ -293,8 +307,8 @@ def _bounded(kind, lo, hi=math.inf, lo_open=False):
 
 def build_parser():
     # The upper bounds of --count, --n and --mix follow nn.SIZE_BOUNDS: one flag at its bound,
-    # with the rest at their defaults (and, for dt-eval, a default-config model), peaks under
-    # 200 MB, so a typo cannot ask for gigabytes.
+    # with the rest at their defaults, peaks under 200 MB, so a typo cannot ask for gigabytes.
+    # dt-eval also bounds --mix by the model's width (DT_EVAL_BUDGET).
     p = argparse.ArgumentParser(
         prog="so3sym",
         description="Symmetric-matrix rotation representation: solver, training, and OOD tools")

@@ -38,12 +38,14 @@ HEAD_DIMS = {"quat": 4, "6d": 6, "A": 10}
 LEAKY_SLOPE = 0.01
 ACTIVATIONS = ("linear", "leaky_relu")
 
-# Inclusive (lo, hi) of the integer config keys; hidden_widths bounds each entry. The upper
-# bounds keep a typo from asking for gigabytes: with one key at its bound and the others at
-# their defaults, a one-epoch run peaks under 200 MB (several keys at their bounds still can).
+# Inclusive (lo, hi) of the integer config keys; hidden_widths bounds each entry, and
+# MAX_HIDDEN_LAYERS their count. The upper bounds keep a typo from asking for gigabytes: with
+# one key at its bound and the others at their defaults, a one-epoch run peaks under 200 MB
+# (several keys at their bounds still can ask for more).
 SIZE_BOUNDS = {"epochs": (0, 10_000), "trials": (1, 1000), "batch_rotations": (1, 10_000),
                "matches_per_rotation": (1, 1000), "test_rotations": (1, 10_000),
                "batches_per_epoch": (1, 1000), "hidden_widths": (1, 1024)}
+MAX_HIDDEN_LAYERS = 32
 
 # Substream tags hung off (seed, trial) for independent draws.
 _STREAM_INIT = 0
@@ -162,32 +164,43 @@ def _grad_R_to_grad_q(q, grad_R):
 
 
 def _quat_head_forward(raw):
-    raw = np.asarray(raw, dtype=float)
     n = np.linalg.norm(raw, axis=-1)
     valid = n > 1e-9
-    q = raw / np.where(valid, n, 1.0)[..., None]
-    q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
-    return q, so3.quat_to_rot(q), valid
+    n = np.where(valid, n, 1.0)[..., None]
+    q = np.where(valid[..., None], raw / n, np.array([0.0, 0.0, 0.0, 1.0]))
+    return q, so3.quat_to_rot(q), n, valid
 
 
-def _quat_head_backward(raw, grad_q):
-    raw = np.asarray(raw, dtype=float)
-    n = np.maximum(np.linalg.norm(raw, axis=-1, keepdims=True), 1e-30)
-    q = raw / n
-    # d(y/||y||) = (I - q q^T) / ||y||
+def _quat_head_backward(q, n, grad_q):
+    # d(y/||y||) = (I - q q^T) / ||y||, with q and the safe norm n from the forward
     return (grad_q - q * np.sum(q * grad_q, axis=-1, keepdims=True)) / n
 
 
-def _sixd_head_backward(raw, grad_R):
-    raw = np.asarray(raw, dtype=float)
-    a1, a2 = raw[..., :3], raw[..., 3:]
-    n1 = np.maximum(np.linalg.norm(a1, axis=-1, keepdims=True), 1e-30)
+def _sixd_head_forward(raw):
+    """Gram-Schmidt of (B, 6) rows: (R, frame, valid).
+
+    R's columns are b1 = a1/n1, b2 = u2/n2 with u2 = a2 - p b1 and p = b1 . a2, and
+    b1 x b2; frame = (a2, b1, b2, n1, n2, p) is what the backward reads. valid is
+    False where n1 or n2 is below 1e-9; the norm is 1.0 and R the identity there.
+    """
+    a1, a2 = raw[:, :3], raw[:, 3:]
+    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    valid = n1 >= 1e-9
+    n1[~valid] = 1.0
     b1 = a1 / n1
     p = np.sum(b1 * a2, axis=-1, keepdims=True)
     u2 = a2 - p * b1
-    n2 = np.maximum(np.linalg.norm(u2, axis=-1, keepdims=True), 1e-30)
+    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
+    valid &= n2 >= 1e-9
+    n2[~valid] = 1.0
     b2 = u2 / n2
+    valid = valid[:, 0]
+    R = np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
+    return np.where(valid[:, None, None], R, np.eye(3)), (a2, b1, b2, n1, n2, p), valid
 
+
+def _sixd_head_backward(frame, grad_R):
+    a2, b1, b2, n1, n2, p = frame
     g1 = grad_R[..., :, 0]
     g2 = grad_R[..., :, 1]
     g3 = grad_R[..., :, 2]
@@ -205,12 +218,14 @@ def _sixd_head_backward(raw, grad_R):
 
 
 def head_forward(head, raw):
-    """Head readout of a (B, d) batch: (q, R, trace, aux, valid).
+    """Head readout of a (B, d) batch: (q, R, aux, valid).
 
-    q is None for the 6d head: no loss or backward pass it runs reads it. trace
-    (the dispersion trace) and aux (the EigenDecomp4 head_backward needs) are the
-    A head's, None for the others. valid is False where the input is degenerate;
-    R is the identity there. ValueError on an unknown head or a width not d.
+    q is None for the 6d head: no loss or backward pass it runs reads it. aux is
+    the forward state head_backward reads: the quat head's safe norm, the 6d
+    head's Gram-Schmidt frame, or the A head's EigenDecomp4, whose
+    dispersion_trace is the OOD score. valid is False where the input is
+    degenerate; R is the identity there. ValueError on an unknown head or a
+    width not d.
     """
     if head not in HEAD_DIMS:
         raise ValueError(f"unknown head {head!r}")
@@ -218,17 +233,16 @@ def head_forward(head, raw):
     if raw.ndim != 2 or raw.shape[1] != HEAD_DIMS[head]:
         raise ValueError(f"head {head!r} expects (B, {HEAD_DIMS[head]}) input, got {raw.shape}")
     if head == "quat":
-        q, R, valid = _quat_head_forward(raw)
-        return q, R, None, None, valid
+        return _quat_head_forward(raw)
     if head == "6d":
-        R, valid = so3.sixd_to_rot_masked(raw)
-        return None, R, None, None, valid
+        R, frame, valid = _sixd_head_forward(raw)
+        return None, R, frame, valid
     q, dec, valid = qcqp_forward(theta_to_A(raw))
     q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
-    return q, so3.quat_to_rot(q), dec.dispersion_trace, dec, valid
+    return q, so3.quat_to_rot(q), dec, valid
 
 
-def head_backward(head, raw, q, aux, grad_q, grad_R):
+def head_backward(head, q, aux, grad_q, grad_R):
     """Gradient wrt raw from upstream gradients wrt q and/or R, at head_forward's q and aux.
 
     The 6d head reads grad_R only. Only meaningful where head_forward reports valid.
@@ -237,9 +251,9 @@ def head_backward(head, raw, q, aux, grad_q, grad_R):
         extra = _grad_R_to_grad_q(q, grad_R)
         grad_q = extra if grad_q is None else grad_q + extra
     if head == "quat":
-        return _quat_head_backward(raw, grad_q)
+        return _quat_head_backward(q, aux, grad_q)
     if head == "6d":
-        return _sixd_head_backward(raw, grad_R)
+        return _sixd_head_backward(aux, grad_R)
     if head == "A":
         return theta_to_A_adjoint(qcqp_vjp(aux, q, grad_q))
     raise ValueError(f"unknown head {head!r}")
@@ -347,8 +361,8 @@ class TrainConfig:
 
     lr = None samples a per-trial rate log-uniformly from lr_range.
     head may be one of HEADS, a list of them, or "all".
-    An epoch is five mini-batches of batch_rotations freshly sampled
-    rotations; the test set is fixed per trial.
+    An epoch is batches_per_epoch mini-batches of batch_rotations freshly
+    sampled rotations; the test set is fixed per trial.
     """
 
     seed: int = 0
@@ -384,6 +398,9 @@ class TrainConfig:
                 require(key, integer(getattr(self, key), lo, hi), f"an integer in [{lo}, {hi}]")
         widths, lo_hi = self.hidden_widths, self.lr_range
         lo, hi = SIZE_BOUNDS["hidden_widths"]
+        if isinstance(widths, (list, tuple)) and len(widths) > MAX_HIDDEN_LAYERS:
+            raise InputError(f"hidden_widths must have at most {MAX_HIDDEN_LAYERS} entries, "
+                             f"got {len(widths)}")
         require("hidden_widths", isinstance(widths, (list, tuple))
                 and all(integer(w, lo, hi) for w in widths), f"a list of integers in [{lo}, {hi}]")
         require("lr", self.lr is None or number(self.lr) and 0.0 <= self.lr < np.inf,
@@ -552,7 +569,7 @@ def _stats_row(trial, seed, lr, epoch, split, head, errs_deg):
 
 
 def _readout(net, head, x, where):
-    """(raw, cache, head_forward(head, raw)) of a batch.
+    """(cache, head_forward(head, raw)) of a batch, raw being the net output.
 
     A non-finite net output raises FloatingPointError naming `where` before the
     head reads it.
@@ -560,12 +577,12 @@ def _readout(net, head, x, where):
     raw, cache = forward(net, x)
     if not np.isfinite(raw).all():
         raise FloatingPointError(f"{where}: network output is not finite")
-    return raw, cache, head_forward(head, raw)
+    return cache, head_forward(head, raw)
 
 
 def evaluate(net, head, x, R_gt, where):
     """Angular errors in degrees over the valid samples of a batch; a non-finite net output raises."""
-    _, _, (_, R, _, _, valid) = _readout(net, head, x, where)
+    _, (_, R, _, valid) = _readout(net, head, x, where)
     return _angular_errors_deg(R, R_gt, valid)
 
 
@@ -603,7 +620,7 @@ def train_single(cfg, head, trial=0):
         for batch in range(cfg.batches_per_epoch):
             rng = rng_for(cfg.seed, trial, _STREAM_TRAIN, epoch, batch)
             x, q_gt, R_gt = sample_batch(cfg, rng, cfg.batch_rotations)
-            raw, cache, (q, R, _, aux, valid) = _readout(net, head, x, at(epoch, f"batch {batch}"))
+            cache, (q, R, aux, valid) = _readout(net, head, x, at(epoch, f"batch {batch}"))
             n_valid = int(valid.sum())
             degenerate += int((~valid).sum())
             epoch_errs.append(_angular_errors_deg(R, R_gt, valid))
@@ -616,7 +633,7 @@ def train_single(cfg, head, trial=0):
                 gq = gq * scale[..., None]
             if gR is not None:
                 gR = gR * scale[..., None, None]
-            grad_raw = head_backward(head, raw, q, aux, gq, gR)
+            grad_raw = head_backward(head, q, aux, gq, gR)
             grad_raw = np.where(valid[..., None], grad_raw, 0.0)
             grads = backward(net, cache, grad_raw)
             net.set_params(adam_step(state, net.params(), [g for dW_db in grads for g in dW_db]))
@@ -645,7 +662,8 @@ class DTReport:
     """Outcome of dispersion thresholding on a clean/corrupted test mix.
 
     precision is the fraction of corrupted samples that were rejected, or
-    None when it is undefined (no thresholding or no corrupted samples).
+    None when it is undefined (q >= 1, which disables thresholding, or no
+    corrupted samples).
     """
 
     q: float
@@ -665,8 +683,7 @@ class DTReport:
     @property
     def precision(self):
         n_corr = int(self.corrupted.sum())
-        n_rejected = int((~self.kept).sum())
-        if n_corr == 0 or n_rejected == 0:
+        if self.q >= 1 or n_corr == 0:
             return None
         return float((self.corrupted & ~self.kept).sum() / n_corr)
 
@@ -702,8 +719,8 @@ def dt_evaluate(net, cfg, q, corruption, rng, n_mix=200, n_reference=1000):
     traces, rotations = [], []
     for n, kind, name in blocks:
         x, _, R_gt = sample_batch(cfg, rng, n, corruption=kind)
-        _, _, (_, R, trace, _, _) = _readout(net, "A", x, f"dt-eval {name} block")
-        traces.append(trace)
+        _, (_, R, dec, _) = _readout(net, "A", x, f"dt-eval {name} block")
+        traces.append(dec.dispersion_trace)
         rotations.append((R, R_gt))
     threshold = dt_fit(traces[0], min(q, 1.0))
     mix = np.concatenate(traces[1:])

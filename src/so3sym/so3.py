@@ -259,26 +259,6 @@ def d_ang(R, R_gt):
     return np.arctan2(s, c)
 
 
-def sixd_to_rot_masked(s):
-    """Batched Gram-Schmidt of (..., 6) inputs: (R, valid), never raises.
-
-    Columns of R are (b1, b2, b1 x b2) with b1 = a1/||a1|| and b2 the unit
-    part of a2 orthogonal to b1. valid is False where ||a1|| < 1e-9 or that
-    orthogonal part has norm < 1e-9; R is the identity there.
-    """
-    s = _as_farray(s, "sixd", (6,))
-    eps = 1e-9
-    a1, a2 = s[..., :3], s[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1)
-    b1 = a1 / np.where(n1 >= eps, n1, 1.0)[..., None]
-    u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
-    n2 = np.linalg.norm(u2, axis=-1)
-    valid = (n1 >= eps) & (n2 >= eps)
-    b2 = u2 / np.where(n2 >= eps, n2, 1.0)[..., None]
-    R = np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
-    return np.where(valid[..., None, None], R, np.eye(3)), valid
-
-
 def random_quats(n, rng):
     """n unit quaternions uniform on S^3 (normalized 4-D Gaussians)."""
     q = rng.standard_normal((n, 4))

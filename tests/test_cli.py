@@ -155,6 +155,16 @@ def _overflowing_model_npz():
     return buf.getvalue()
 
 
+def _m1000_model_npz():
+    """Bytes of an untrained A-head model with matches_per_rotation 1000: each sample is
+    6000 + 128 + 128 + 10 = 6266 wide, which bounds dt-eval --mix at 1393."""
+    net = nn.init_net(6000, (128, 128), 10, np.random.default_rng(0))
+    buf = io.BytesIO()
+    nn.save_model(buf, net, "A", nn.TrainConfig(matches_per_rotation=1000, epochs=0, trials=1,
+                                                 head="A"))
+    return buf.getvalue()
+
+
 _TRAIN = ["--out", "{d}/out", "train", "{d}/cfg.json"]
 _DT_EVAL = ["--out", "{d}", "dt-eval", "{d}/m.npz"]
 _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the data matrix overflows
@@ -200,12 +210,18 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
      "argument --n: must be an integer >= 1 and <= 1000000"),
     ({}, ["dt-eval", "{d}/m.npz", "--mix", "1000000000"], 2,
      "argument --mix: must be an integer >= 1 and <= 50000"),
+    ({"cfg.json": json.dumps({"hidden_widths": [1] * 33, "head": "quat", "epochs": 0, "trials": 1,
+                              "test_rotations": 5})}, _TRAIN, 2,
+     "hidden_widths must have at most 32 entries, got 33"),
+    ({"m.npz": _m1000_model_npz()}, _DT_EVAL + ["--mix", "1394"], 2,
+     "--mix 1394 is over 1393 for a model of per-sample width 6266"),
 ], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
         "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
         "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
         "model-input-width", "model-output-width", "model-activation", "phi-max-200",
         "matches-over-bound", "width-over-bound", "avg-weight-1e160", "avg-weight-1e308",
-        "dt-eval-output-overflow", "count-over-bound", "n-over-bound", "mix-over-bound"])
+        "dt-eval-output-overflow", "count-over-bound", "n-over-bound", "mix-over-bound",
+        "layers-over-bound", "mix-over-model-bound"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())

@@ -3,7 +3,7 @@ import pytest
 
 from so3sym import nn, so3, symrep
 
-from util import (adam_step_reference, backward_reference, forward_reference,
+from util import (adam_step_reference, backward_reference, forward_reference, is_rotation,
                   random_rotations, sample_batch_reference)
 
 
@@ -53,14 +53,14 @@ def test_forward_dim_mismatch():
 
 
 def test_quat_head_normalizes():
-    q, R, trace, aux, valid = nn.head_forward("quat", [[0.0, 0.0, 0.0, 2.0]])
+    q, R, aux, valid = nn.head_forward("quat", [[0.0, 0.0, 0.0, 2.0]])
     assert np.allclose(R[0], np.eye(3))
     assert np.allclose(q[0], [0, 0, 0, 1])
-    assert valid.tolist() == [True] and trace is None and aux is None
+    assert valid.tolist() == [True] and aux.tolist() == [[2.0]]
 
 
 def test_quat_head_zero_is_invalid():
-    _, R, _, _, valid = nn.head_forward("quat", [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    _, R, _, valid = nn.head_forward("quat", [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
     assert valid.tolist() == [False, True]
     assert np.array_equal(R[0], np.eye(3))
 
@@ -69,21 +69,50 @@ def test_sym_head_at_section_point():
     rng = np.random.default_rng(4)
     q = so3.random_quats(1, rng)
     raw = symrep.A_to_theta(symrep.smooth_section(q))
-    _, R, trace, _, valid = nn.head_forward("A", raw)
+    _, R, dec, valid = nn.head_forward("A", raw)
     assert valid.all()
     assert so3.d_ang(R[0], so3.quat_to_rot(q[0])) < 1e-9
-    assert np.isclose(trace[0], -3.0)
+    assert np.isclose(dec.dispersion_trace[0], -3.0)
 
 
 def test_sym_head_degenerate_is_invalid():
-    _, R, _, _, valid = nn.head_forward("A", symrep.A_to_theta(np.eye(4))[None])
+    _, R, _, valid = nn.head_forward("A", symrep.A_to_theta(np.eye(4))[None])
     assert valid.tolist() == [False]
     assert np.array_equal(R[0], np.eye(3))
 
 
 def test_sixd_head_identity():
-    _, R, _, _, valid = nn.head_forward("6d", [[1.0, 0, 0, 0, 1.0, 0]])
+    _, R, _, valid = nn.head_forward("6d", [[1.0, 0, 0, 0, 1.0, 0]])
     assert valid.all() and np.allclose(R[0], np.eye(3))
+
+
+def test_sixd_head_to_rot():
+    _, R, _, valid = nn.head_forward("6d", [[1, 0, 0, 0, 1, 0]])
+    assert valid and np.allclose(R, np.eye(3))
+    rng = np.random.default_rng(14)
+    s = rng.standard_normal((500, 6))
+    _, R, _, valid = nn.head_forward("6d", s)
+    assert valid.all() and is_rotation(R, tol=1e-9)
+    # scale invariance in both inputs
+    scaled = s * np.concatenate([np.full(3, 2.7), np.full(3, 0.3)])
+    assert np.abs(nn.head_forward("6d", scaled)[1] - R).max() < 1e-12
+
+
+def test_sixd_head_degenerate():
+    # a1 near zero; a2 in span(a1)
+    _, _, _, valid = nn.head_forward("6d", [[0, 0, 0, 0, 1, 0], [1, 0, 0, 2, 0, 0]])
+    assert valid.tolist() == [False, False]
+
+
+def test_sixd_head_matches_and_masks():
+    rng = np.random.default_rng(15)
+    s = rng.standard_normal((50, 6))
+    s[3] = [0, 0, 0, 0, 1, 0]
+    s[7] = [1, 0, 0, 2, 0, 0]
+    _, R, _, valid = nn.head_forward("6d", s)
+    assert valid.sum() == 48 and not valid[3] and not valid[7]
+    assert np.array_equal(R[~valid], np.broadcast_to(np.eye(3), (2, 3, 3)))
+    assert np.array_equal(R[valid], nn.head_forward("6d", s[valid])[1])
 
 
 def valid_raws(head, rng, n):
@@ -103,7 +132,7 @@ def fd_through_head(head, raw, f, h):
     """
     B, d = raw.shape
     steps = h * np.stack([np.eye(d), -np.eye(d)])
-    q, R, _, _, valid = nn.head_forward(head, (raw[:, None, None, :] + steps).reshape(-1, d))
+    q, R, _, valid = nn.head_forward(head, (raw[:, None, None, :] + steps).reshape(-1, d))
     assert valid.all()
     R = R.reshape(B, 2, d, 3, 3)
     if q is not None:
@@ -126,8 +155,8 @@ def test_head_backward_finite_differences(head):
     raw = valid_raws(head, rng, n)
     up_q = rng.standard_normal((n, 4)) if head != "6d" else None
     up_R = rng.standard_normal((n, 3, 3))
-    q, _, _, aux, _ = nn.head_forward(head, raw)
-    ana = nn.head_backward(head, raw, q, aux, up_q, up_R)
+    q, _, aux, _ = nn.head_forward(head, raw)
+    ana = nn.head_backward(head, q, aux, up_q, up_R)
 
     def f(q, R):
         v = np.sum(up_R[:, None, None] * R, axis=(-2, -1))
@@ -139,15 +168,16 @@ def test_head_backward_finite_differences(head):
 def test_quat_head_gradient_is_tangential():
     rng = np.random.default_rng(6)
     raw = rng.standard_normal((1, 4))
-    q, _, _, aux, _ = nn.head_forward("quat", raw)
-    g = nn.head_backward("quat", raw, q, aux, rng.standard_normal((1, 4)), None)
+    q, _, aux, _ = nn.head_forward("quat", raw)
+    g = nn.head_backward("quat", q, aux, rng.standard_normal((1, 4)), None)
     assert abs(np.dot(g[0], raw[0] / np.linalg.norm(raw[0]))) < 1e-12
 
 
 def test_sixd_head_scale_directions_are_null():
     rng = np.random.default_rng(7)
     raw = rng.standard_normal((1, 6))
-    g = nn.head_backward("6d", raw, None, None, None, rng.standard_normal((1, 3, 3)))[0]
+    _, _, frame, _ = nn.head_forward("6d", raw)
+    g = nn.head_backward("6d", None, frame, None, rng.standard_normal((1, 3, 3)))[0]
     # output is invariant to scaling of a1 and of a2 separately
     assert abs(np.dot(g[:3], raw[0, :3])) < 1e-12
     assert abs(np.dot(g[3:], raw[0, 3:])) < 1e-12
@@ -157,7 +187,7 @@ def test_sym_head_shift_invariance():
     rng = np.random.default_rng(8)
     raw = rng.standard_normal(10)
     theta_eye = symrep.A_to_theta(np.eye(4))
-    _, R, _, _, valid = nn.head_forward("A", np.stack([raw, raw + 5.0 * theta_eye]))
+    _, R, _, valid = nn.head_forward("A", np.stack([raw, raw + 5.0 * theta_eye]))
     assert valid.all()
     assert so3.d_ang(R[0], R[1]) < 1e-9
 
@@ -208,9 +238,9 @@ def test_loss_gradients_through_heads(kind, head):
         raw, R_gt, q_gt = raw[keep], R_gt[keep], q_gt[keep]
     raw, R_gt, q_gt = raw[:n], R_gt[:n], q_gt[:n]
     assert len(raw) == n
-    q, R, _, aux, _ = nn.head_forward(head, raw)
+    q, R, aux, _ = nn.head_forward(head, raw)
     _, gq, gR = nn.loss_eval(kind, q, R, q_gt, R_gt)
-    ana = nn.head_backward(head, raw, q, aux, gq, gR)
+    ana = nn.head_backward(head, q, aux, gq, gR)
     fd = fd_through_head(head, raw, lambda q, R: nn.loss_eval(
         kind, q, R, q_gt[:, None, None], R_gt[:, None, None])[0], 1e-6)
     assert np.all(rel_max_error(ana, fd) < 1e-4)
@@ -261,17 +291,17 @@ def test_end_to_end_gradcheck_tiny_net(head):
 
     def total_loss():
         raw, _ = nn.forward(net, x)
-        q, R, _, _, valid = nn.head_forward(head, raw)
+        q, R, _, valid = nn.head_forward(head, raw)
         assert valid.all()
         loss, _, _ = nn.loss_eval("chord", q, R, q_gt, R_gt)
         return float(np.mean(loss))
 
     raw, cache = nn.forward(net, x)
-    q, R, _, aux, valid = nn.head_forward(head, raw)
+    q, R, aux, valid = nn.head_forward(head, raw)
     loss, gq, gR = nn.loss_eval("chord", q, R, q_gt, R_gt)
     scale = np.full(3, 1.0 / 3.0)
     gR = gR * scale[:, None, None]
-    grad_raw = nn.head_backward(head, raw, q, aux, None, gR)
+    grad_raw = nn.head_backward(head, q, aux, None, gR)
     grads = nn.backward(net, cache, grad_raw)
     analytic = []
     for dW, db in grads:
@@ -311,6 +341,7 @@ def small_cfg(**over):
     ("lr", float("nan")), ("lr", float("inf")), ("lr_range", (1e-3, 1e-4)),
     ("lr_range", (0.0, 1e-3)), ("lr_range", (1e-3,)), ("phi_max_deg", 0.0),
     ("phi_max_deg", 180.5), ("sigma", -0.01), ("loss", "l2"), ("head", "hexarot"),
+    ("hidden_widths", (1024,) * 10_000),
 ])
 def test_train_config_range_checked(key, value):
     with pytest.raises(ValueError, match=key):
@@ -334,6 +365,12 @@ def test_train_config_size_keys_have_upper_bounds(key):
     assert small_cfg(**{key: value(hi)})
     with pytest.raises(nn.InputError, match=rf"{key} must be .*, {hi}\]"):
         small_cfg(**{key: value(hi + 1)})
+
+
+def test_train_config_bounds_the_number_of_hidden_layers():
+    assert small_cfg(hidden_widths=(8,) * 32)
+    with pytest.raises(nn.InputError, match="hidden_widths must have at most 32 entries, got 33"):
+        small_cfg(hidden_widths=(8,) * 33)
 
 
 def test_train_config_rejects_quat_loss_with_sixd_head():
@@ -396,7 +433,7 @@ def test_trained_norm_metric_tracks_trace(smoke_trials):
     cfg = small_cfg()
     x, _, _ = nn.sample_batch(cfg, np.random.default_rng(3), 200)
     raw, _ = nn.forward(trial.net, x)
-    _, _, traces, _, _ = nn.head_forward("A", raw)
+    traces = nn.head_forward("A", raw)[2].dispersion_trace
     norms = np.linalg.norm(raw, axis=-1)
     rank = lambda a: np.argsort(np.argsort(a))
     rho = np.corrcoef(rank(norms), rank(np.abs(traces)))[0, 1]
@@ -406,7 +443,7 @@ def test_trained_norm_metric_tracks_trace(smoke_trials):
 def test_degenerate_batch_samples_are_masked():
     raws = np.stack([symrep.A_to_theta(np.eye(4)),
                      symrep.A_to_theta(np.diag([0.0, 1.0, 2.0, 3.0]))])
-    q, R, trace, dec, valid = nn.head_forward("A", raws)
+    q, R, dec, valid = nn.head_forward("A", raws)
     assert not valid[0] and valid[1]
     assert np.allclose(q[1], [1, 0, 0, 0])
 
@@ -543,6 +580,18 @@ def test_dt_evaluate_report():
     assert rep_all.precision is None
 
 
+def test_dt_report_precision_is_zero_when_nothing_is_rejected():
+    def report(q, corrupted):
+        return nn.DTReport(q=q, corruption="noise", threshold=0.0, traces=np.zeros(4),
+                           errors_deg=np.zeros(4), kept=np.ones(4, dtype=bool),
+                           corrupted=np.array(corrupted), mean_trace_clean=0.0,
+                           mean_trace_corrupted=0.0)
+
+    assert report(0.75, [False, False, True, True]).precision == 0.0
+    assert report(1.0, [False, False, True, True]).precision is None
+    assert report(0.75, [False] * 4).precision is None
+
+
 def test_dt_evaluate_clean_calibration():
     cfg = small_cfg(epochs=4)
     trial = nn.train_single(cfg, "A")
@@ -626,7 +675,7 @@ def test_unknown_head_raises_value_error():
     with pytest.raises(ValueError, match="unknown head 'foo'"):
         nn.head_forward("foo", [[1.0]])
     with pytest.raises(ValueError, match="unknown head 'foo'"):
-        nn.head_backward("foo", [[1.0]], None, None, [[1.0]], None)
+        nn.head_backward("foo", None, None, [[1.0]], None)
     for raw in (np.zeros((2, 10)), np.zeros(4)):  # a width for another head; not a batch
         with pytest.raises(ValueError, match=r"head 'quat' expects \(B, 4\) input"):
             nn.head_forward("quat", raw)
@@ -643,7 +692,7 @@ def test_sixd_training_skips_rot_to_quat(monkeypatch):
     monkeypatch.setattr(so3, "rot_to_quat", counted)
     nn.train_single(small_cfg(head="6d", epochs=2), "6d")
     assert calls == []
-    q, _, _, _, valid = nn.head_forward("6d", [[1.0, 0.2, -0.3, 0.1, 1.0, 0.4]])
+    q, _, _, valid = nn.head_forward("6d", [[1.0, 0.2, -0.3, 0.1, 1.0, 0.4]])
     assert q is None and valid.all() and calls == []
 
 

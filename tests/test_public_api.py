@@ -43,13 +43,12 @@ SET_DEFAULTS = {
     "cli.run_grad_check.seed": "cli --seed; benchmarks/run.py",
     "cli.run_grad_check.tolerance": "cli grad-check --tolerance",
     "cli.run_grad_check.self_test": "cli grad-check --self-test; benchmarks/test_smoke.py",
-    "cli.run_grad_check.min_rel_gap": "tests/test_acceptance.py names criterion 1's eigengap filter",
     "cli.main.argv": "benchmarks/run.py and cliprobe.py pass argument lists; entry() passes none",
     "nn.sample_batch.corruption": "nn.dt_evaluate's corrupted block; benchmarks/run.py",
     "nn.train_single.trial": "nn.train_experiment runs each trial",
     "nn.dt_evaluate.n_mix": "cli dt-eval --mix",
     "nn.dt_evaluate.n_reference": "benchmarks/run.py scores with its own reference size",
-    "symrep.qcqp_forward.gap_tol": "cli.run_grad_check filters at min_rel_gap; the gate is DEFAULT_GAP_TOL",
+    "symrep.qcqp_forward.gap_tol": "cli.run_grad_check filters at GRAD_CHECK_MIN_REL_GAP; the gate is DEFAULT_GAP_TOL",
     "symrep.qcqp_forward.decomp": "symrep.qcqp_jacobian_theta passes the decomposition it is given",
     "symrep.qcqp_jacobian_theta.decomp": "cli.run_grad_check passes its filter's decompositions",
     "wahba.InputError.__init__.line": "wahba._read_csv_table names the line of the fault",

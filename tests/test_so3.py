@@ -169,35 +169,6 @@ def test_product_matrices_conjugation():
     assert np.abs(conj[:, :3] - Ru).max() < 1e-12
 
 
-def test_sixd_to_rot():
-    R, valid = so3.sixd_to_rot_masked([1, 0, 0, 0, 1, 0])
-    assert valid and np.allclose(R, np.eye(3))
-    rng = np.random.default_rng(14)
-    s = rng.standard_normal((500, 6))
-    R, valid = so3.sixd_to_rot_masked(s)
-    assert valid.all() and is_rotation(R, tol=1e-9)
-    # scale invariance in both inputs
-    scaled = s * np.concatenate([np.full(3, 2.7), np.full(3, 0.3)])
-    assert np.abs(so3.sixd_to_rot_masked(scaled)[0] - R).max() < 1e-12
-
-
-def test_sixd_degenerate():
-    # a1 near zero; a2 in span(a1)
-    _, valid = so3.sixd_to_rot_masked([[0, 0, 0, 0, 1, 0], [1, 0, 0, 2, 0, 0]])
-    assert valid.tolist() == [False, False]
-
-
-def test_sixd_to_rot_masked_matches_and_masks():
-    rng = np.random.default_rng(15)
-    s = rng.standard_normal((50, 6))
-    s[3] = [0, 0, 0, 0, 1, 0]
-    s[7] = [1, 0, 0, 2, 0, 0]
-    R, valid = so3.sixd_to_rot_masked(s)
-    assert valid.sum() == 48 and not valid[3] and not valid[7]
-    assert np.array_equal(R[~valid], np.broadcast_to(np.eye(3), (2, 3, 3)))
-    assert np.array_equal(R[valid], so3.sixd_to_rot_masked(s[valid])[0])
-
-
 def test_canonicalize_quat_rules():
     assert np.allclose(so3.canonicalize_quat([0, 0, 0, -1]), [0, 0, 0, 1])
     assert np.allclose(so3.canonicalize_quat([-1, 0, 0, 0]), [1, 0, 0, 0])

@@ -275,10 +275,10 @@ def test_jacobian_theta_batch_degenerate_raises():
 def test_training_vjp_matches_jacobian_theta():
     rng = np.random.default_rng(22)
     raw = rng.standard_normal((32, 10))
-    q, _, _, dec, valid = nn.head_forward("A", raw)
+    q, _, dec, valid = nn.head_forward("A", raw)
     assert valid.all()
     grad_q = rng.standard_normal((32, 4))
-    grad_raw = nn.head_backward("A", raw, q, dec, grad_q, None)
+    grad_raw = nn.head_backward("A", q, dec, grad_q, None)
     J = symrep.qcqp_jacobian_theta(symrep.theta_to_A(raw))
     expect = np.einsum("nrk,nr->nk", J, grad_q)
     assert np.abs(grad_raw - expect).max() < 1e-12 * max(1.0, np.abs(expect).max())
