@@ -132,6 +132,8 @@ def cmd_wahba(args):
             num_matches=args.n, sigma=args.sigma, phi_max=np.deg2rad(args.phi_max_deg), seed=args.seed))
     else:
         corr = read_correspondences_csv(args.input)
+        if len(corr) == 0:
+            raise InputError(f"{args.input}: no correspondences")
     q, dec = qcqp_solve(build_data_matrix(corr))
     print(f"pairs: {len(corr)}")
     print(f"q_star: {_fmt(q[0])} {_fmt(q[1])} {_fmt(q[2])} {_fmt(q[3])}")
@@ -197,7 +199,7 @@ def cmd_dt_eval(args):
     if head != "A":
         raise InputError(f"{args.model}: dispersion thresholding requires a symmetric-matrix "
                          f"head model, got {head!r}")
-    width = net.in_dim + sum(W.shape[0] for W in net.weights)
+    width = sum(nn.layer_dims(cfg, head))
     most = DT_EVAL_BUDGET // width - 1000
     if args.mix > most:
         raise InputError(f"--mix {args.mix} is over {max(most, 0)} for a model of per-sample width "

@@ -11,7 +11,7 @@ input, which one of three interchangeable heads turns into a rotation:
 
 Losses (squared quaternion, chordal, angular distances), Adam, and the
 synthetic training protocol live here as well. Everything works on batches:
-`forward` takes (B, in_dim) rows, and heads and losses have one batched
+`forward` takes (B, d_0) rows, and heads and losses have one batched
 implementation each (`head_forward`, `head_backward`, `loss_eval`).
 `head_forward` reports degenerate samples in a `valid` mask instead of
 raising. Everything is plain numpy and deterministic for a fixed seed.
@@ -36,7 +36,6 @@ LOSSES = ("quat", "chord", "ang")
 HEAD_DIMS = {"quat": 4, "6d": 6, "A": 10}
 
 LEAKY_SLOPE = 0.01
-ACTIVATIONS = ("linear", "leaky_relu")
 
 # Inclusive (lo, hi) of the integer config keys; hidden_widths bounds each entry, and
 # MAX_HIDDEN_LAYERS their count. The upper bounds keep a typo from asking for gigabytes: with
@@ -60,19 +59,10 @@ _STREAM_TRAIN = 3
 
 @dataclass
 class DenseNet:
-    """Fully-connected net; weights[l] is (d_out, d_in), activations per layer."""
+    """Fully-connected net; weights[l] is (d_out, d_in). Hidden layers are leaky-ReLU, the last linear."""
 
     weights: list
     biases: list
-    activations: list
-
-    @property
-    def in_dim(self):
-        return self.weights[0].shape[1]
-
-    @property
-    def out_dim(self):
-        return self.weights[-1].shape[0]
 
     def params(self):
         return [p for W_b in zip(self.weights, self.biases) for p in W_b]
@@ -81,54 +71,51 @@ class DenseNet:
         self.weights[:], self.biases[:] = params[0::2], params[1::2]
 
 
-def init_net(in_dim, hidden_widths, out_dim, rng):
-    """Uniform fan-in initialization, hidden layers leaky-ReLU, output linear."""
-    dims = [in_dim, *hidden_widths, out_dim]
-    weights, biases, acts = [], [], []
-    for l in range(len(dims) - 1):
-        s = 1.0 / np.sqrt(dims[l])
-        weights.append(rng.uniform(-s, s, size=(dims[l + 1], dims[l])))
-        biases.append(rng.uniform(-s, s, size=dims[l + 1]))
-        acts.append("linear" if l == len(dims) - 2 else "leaky_relu")
-    return DenseNet(weights, biases, acts)
+def layer_dims(cfg, head):
+    """Widths of the net train builds for head: the input, each hidden layer, the head's output."""
+    return [6 * cfg.matches_per_rotation, *cfg.hidden_widths, HEAD_DIMS[head]]
 
 
-def _act(z, kind, out=None):
-    """Activation of z; out is None (a new array) or z itself (in place; linear returns z)."""
-    if kind == "linear":
-        return z
-    if kind == "leaky_relu":
-        return np.maximum(z, LEAKY_SLOPE * z, out=out)
-    raise ValueError(f"unknown activation {kind!r}")
+def init_net(dims, rng):
+    """Uniform fan-in initialization of a DenseNet with layer widths dims."""
+    weights, biases = [], []
+    for d_in, d_out in zip(dims, dims[1:]):
+        s = 1.0 / np.sqrt(d_in)
+        weights.append(rng.uniform(-s, s, size=(d_out, d_in)))
+        biases.append(rng.uniform(-s, s, size=d_out))
+    return DenseNet(weights, biases)
 
 
 def forward(net, x):
-    """Run the net on a (B, in_dim) batch; returns (raw, cache) with what backward needs."""
+    """Run the net on a (B, d_0) batch; returns (raw, cache) with what backward needs."""
     a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[1] != net.in_dim:
-        raise ValueError(f"input shape {a.shape} is not (B, {net.in_dim})")
+    d_0 = net.weights[0].shape[1]
+    if a.ndim != 2 or a.shape[1] != d_0:
+        raise ValueError(f"input shape {a.shape} is not (B, {d_0})")
     cache = []
-    for W, b, act in zip(net.weights, net.biases, net.activations):
+    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ W.T
         z += b
-        a_in, a = a, _act(z, act, out=z)
-        cache.append((a_in, a, act))
+        if l < len(net.weights) - 1:
+            np.maximum(z, LEAKY_SLOPE * z, out=z)
+        cache.append((a, z))
+        a = z
     return a, cache
 
 
 def backward(net, cache, grad_raw):
     """Backpropagate grad wrt raw output; returns [(dW, db), ...] per layer.
 
-    cache[l] is (input, output, activation) of layer l as forward left it: the
-    output after the activation, not the pre-activation. With a positive slope,
-    output > 0 exactly where the pre-activation is > 0 (signed zeros and NaN
-    included), so the leaky-ReLU mask reads the output. grad_raw is not written.
+    cache[l] is (input, output) of layer l as forward left it: the output after
+    the activation, not the pre-activation. With a positive slope, output > 0
+    exactly where the pre-activation is > 0 (signed zeros and NaN included), so
+    the leaky-ReLU mask reads the output. grad_raw is not written.
     """
-    g = np.array(grad_raw, dtype=float)
+    g = np.asarray(grad_raw, dtype=float)
     grads = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, -1, -1):
-        a_prev, a, act = cache[l]
-        if act == "leaky_relu":
+        a_prev, a = cache[l]
+        if l < len(net.weights) - 1:  # g is a fresh product here, so scaling it in place is safe
             up = a > 0
             scale = np.multiply(~up, LEAKY_SLOPE)  # exactly LEAKY_SLOPE or 1.0, with no branches
             scale += up
@@ -594,8 +581,7 @@ def train_single(cfg, head, trial=0):
     if lr is None:
         lo, hi = cfg.lr_range
         lr = float(10.0 ** rng_for(cfg.seed, trial, _STREAM_LR).uniform(np.log10(lo), np.log10(hi)))
-    in_dim = 6 * cfg.matches_per_rotation
-    net = init_net(in_dim, cfg.hidden_widths, HEAD_DIMS[head], rng_for(cfg.seed, trial, _STREAM_INIT))
+    net = init_net(layer_dims(cfg, head), rng_for(cfg.seed, trial, _STREAM_INIT))
     test_x, _, test_R = sample_batch(cfg, rng_for(cfg.seed, trial, _STREAM_TEST), cfg.test_rotations)
 
     rows = []
@@ -765,10 +751,14 @@ def last_layer_decompose(W, b, gamma):
 MODEL_FORMAT = "so3sym-model-v1"
 
 
+def _activations(n_layers):
+    """The activation names a model file lists: leaky_relu per hidden layer, then linear."""
+    return ["leaky_relu"] * (n_layers - 1) + ["linear"]
+
+
 def save_model(path, net, head, config):
-    meta = {"format": MODEL_FORMAT, "head": head,
-            "activations": net.activations,
-            "config": asdict(config) if isinstance(config, TrainConfig) else dict(config)}
+    meta = {"format": MODEL_FORMAT, "head": head, "activations": _activations(len(net.weights)),
+            "config": asdict(config)}
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     for l, (W, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"W{l}"] = W
@@ -776,31 +766,27 @@ def save_model(path, net, head, config):
     np.savez(path, **arrays)
 
 
-def _check_model(net, head, cfg):
-    """Raise ValueError unless the layers chain from 6 * matches_per_rotation to the head's
-    width, with one known activation each."""
+def _check_model(net, head, cfg, activations):
+    """Raise ValueError unless the layers have the shapes layer_dims(cfg, head) gives and
+    activations lists the one pattern train writes."""
     if head not in HEADS:
         raise ValueError(f"head {head!r} is not one of {HEADS}")
-    if not net.weights:
-        raise ValueError("no layers")
-    width, what = 6 * cfg.matches_per_rotation, "6 * matches_per_rotation"
+    dims = layer_dims(cfg, head)
+    given = f"the config and head {head!r} give layer widths {dims}"
+    if len(net.weights) != len(dims) - 1:
+        raise ValueError(f"{len(net.weights)} layers, but {given}")
     for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        if W.ndim != 2 or W.shape[1] != width or b.shape != W.shape[:1]:
-            raise ValueError(f"W{l} {W.shape} and b{l} {b.shape} do not take input width {width} "
-                             f"({what})")
-        width, what = W.shape[0], f"rows of W{l}"
-    if width != HEAD_DIMS[head]:
-        raise ValueError(f"output width {width} does not fit head {head!r}, which needs "
-                         f"{HEAD_DIMS[head]}")
-    acts = net.activations
-    if not (isinstance(acts, list) and len(acts) == len(net.weights)
-            and all(a in ACTIVATIONS for a in acts)):
-        raise ValueError(f"activations must be one of {ACTIVATIONS} per layer, got {acts!r}")
+        if W.shape != (dims[l + 1], dims[l]) or b.shape != (dims[l + 1],):
+            raise ValueError(f"W{l} {W.shape} and b{l} {b.shape} are not ({dims[l + 1]}, {dims[l]}) "
+                             f"and ({dims[l + 1]},): {given}")
+    want = _activations(len(dims) - 1)
+    if activations != want:
+        raise ValueError(f"activations must be {want}, got {activations!r}")
 
 
 def load_model(path):
     """Returns (net, head, config_dict); raises InputError naming the file unless it is a
-    finite model whose config is valid and whose layers fit that config and the head."""
+    finite real model whose config is valid and whose layers are the ones train builds."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:  # np.load(path) leaks it on a bad zip
             meta = json.loads(bytes(data["meta"]).decode())
@@ -811,10 +797,14 @@ def load_model(path):
                 weights.append(data[f"W{l}"])
                 biases.append(data[f"b{l}"])
                 l += 1
-        if not all(np.isfinite(a).all() for a in weights + biases):
+        arrays = weights + biases
+        kinds = sorted({a.dtype.name for a in arrays if not np.issubdtype(a.dtype, np.floating)})
+        if kinds:
+            raise ValueError(f"weights are {', '.join(kinds)}, not real floating point")
+        if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError("weights are not finite")
-        net = DenseNet(weights, biases, meta["activations"])
-        _check_model(net, meta["head"], TrainConfig.from_dict(meta["config"]))
+        net = DenseNet(weights, biases)
+        _check_model(net, meta["head"], TrainConfig.from_dict(meta["config"]), meta["activations"])
         return net, meta["head"], meta["config"]
     except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         raise InputError(f"{path}: not a {MODEL_FORMAT} file: {exc}") from None

@@ -14,7 +14,7 @@ import pytest
 from so3sym import averaging, bingham, cli, nn, so3, symrep, wahba
 from so3sym.wahba import SyntheticConfig
 
-from util import kabsch
+from util import kabsch, write_model
 
 
 def run(capsys, *argv):
@@ -137,28 +137,33 @@ def _pickled_npz():
     return buf.getvalue()
 
 
-def _model_npz(in_dim=60, out_dim=10, activations=None):
-    """Bytes of a saved A-head model with the default config, which takes input width 60."""
-    net = nn.init_net(in_dim, (8,), out_dim, np.random.default_rng(0))
-    net.activations = activations or net.activations
+# The config of a model with layers 60 -> 8 -> 10: layer_dims gives [60, 8, 10] for head A.
+_CFG_8 = nn.TrainConfig(hidden_widths=(8,))
+
+
+def _model_npz(in_dim=60, out_dim=10, dtype=float, **meta):
+    """Bytes of an A-head model with layers in_dim -> 8 -> out_dim and the config _CFG_8, its
+    W0 cast to dtype; `meta` replaces entries of the file's meta (activations, config)."""
+    net = nn.init_net([in_dim, 8, out_dim], np.random.default_rng(0))
+    net.weights[0] = net.weights[0].astype(dtype)
     buf = io.BytesIO()
-    nn.save_model(buf, net, "A", nn.TrainConfig())
+    write_model(buf, net, "A", _CFG_8, **meta)
     return buf.getvalue()
 
 
 def _overflowing_model_npz():
     """Bytes of a finite A-head model whose weights, 1e200 times too large, overflow its output."""
-    net = nn.init_net(60, (8,), 10, np.random.default_rng(0))
+    net = nn.init_net([60, 8, 10], np.random.default_rng(0))
     net.weights = [1e200 * W for W in net.weights]
     buf = io.BytesIO()
-    nn.save_model(buf, net, "A", nn.TrainConfig())
+    nn.save_model(buf, net, "A", _CFG_8)
     return buf.getvalue()
 
 
 def _m1000_model_npz():
     """Bytes of an untrained A-head model with matches_per_rotation 1000: each sample is
     6000 + 128 + 128 + 10 = 6266 wide, which bounds dt-eval --mix at 1393."""
-    net = nn.init_net(6000, (128, 128), 10, np.random.default_rng(0))
+    net = nn.init_net([6000, 128, 128, 10], np.random.default_rng(0))
     buf = io.BytesIO()
     nn.save_model(buf, net, "A", nn.TrainConfig(matches_per_rotation=1000, epochs=0, trials=1,
                                                  head="A"))
@@ -196,6 +201,15 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
     ({"m.npz": _model_npz(in_dim=30)}, _DT_EVAL, 2, "m.npz"),
     ({"m.npz": _model_npz(out_dim=4)}, _DT_EVAL, 2, "m.npz"),
     ({"m.npz": _model_npz(activations=["relu", "linear"])}, _DT_EVAL, 2, "m.npz"),
+    ({"m.npz": _model_npz(config=vars(nn.TrainConfig()))}, _DT_EVAL, 2,
+     "m.npz: not a so3sym-model-v1 file: 2 layers, but the config and head 'A' give layer widths "
+     "[60, 128, 128, 10]"),
+    ({"m.npz": _model_npz(activations=["linear", "linear"])}, _DT_EVAL, 2,
+     "m.npz: not a so3sym-model-v1 file: activations must be ['leaky_relu', 'linear']"),
+    ({"m.npz": _model_npz(dtype=complex)}, _DT_EVAL, 2,
+     "m.npz: not a so3sym-model-v1 file: weights are complex128, not real floating point"),
+    ({"pairs.csv": "ux,uy,uz,vx,vy,vz,sigma\n"}, ["wahba", "{d}/pairs.csv"], 2,
+     "pairs.csv: no correspondences"),
     ({}, ["wahba", "--synthetic", "--phi-max-deg", "200"], 2, "argument --phi-max-deg: "
      "must be a finite number > 0 and <= 180, got '200'"),
     ({"cfg.json": '{"matches_per_rotation": 1000000000}'}, _TRAIN, 2, "matches_per_rotation"),
@@ -218,7 +232,8 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
 ], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
         "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
         "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
-        "model-input-width", "model-output-width", "model-activation", "phi-max-200",
+        "model-input-width", "model-output-width", "model-activation", "model-hidden-mismatch",
+        "model-activation-pattern", "model-complex", "wahba-empty", "phi-max-200",
         "matches-over-bound", "width-over-bound", "avg-weight-1e160", "avg-weight-1e308",
         "dt-eval-output-overflow", "count-over-bound", "n-over-bound", "mix-over-bound",
         "layers-over-bound", "mix-over-model-bound"])
@@ -479,9 +494,8 @@ def test_dt_eval_noise_improves_kept_error(trained_model, capsys):
 
 
 def test_dt_eval_out_of_range_saved_config_exits_2(tmp_path, capsys):
-    net = nn.init_net(60, (8,), 10, np.random.default_rng(0))
-    cfg = dict(nn.TrainConfig().__dict__, lr=-1.0)
-    nn.save_model(tmp_path / "m.npz", net, "A", cfg)
+    net = nn.init_net([60, 8, 10], np.random.default_rng(0))
+    write_model(tmp_path / "m.npz", net, "A", _CFG_8, config=dict(vars(_CFG_8), lr=-1.0))
     code, _, err = run(capsys, "--out", tmp_path, "dt-eval", tmp_path / "m.npz")
     assert code == 2
     assert "lr must be" in err

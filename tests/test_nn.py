@@ -4,14 +4,14 @@ import pytest
 from so3sym import nn, so3, symrep
 
 from util import (adam_step_reference, backward_reference, forward_reference, is_rotation,
-                  random_rotations, sample_batch_reference)
+                  random_rotations, sample_batch_reference, write_model)
 
 
 # -- dense net ----------------------------------------------------------------
 
 
 def test_forward_zero_weights_propagates_bias():
-    net = nn.init_net(4, (3,), 2, np.random.default_rng(0))
+    net = nn.init_net([4, 3, 2], np.random.default_rng(0))
     for W in net.weights:
         W[:] = 0.0
     raw, _ = nn.forward(net, np.zeros((1, 4)))
@@ -22,18 +22,20 @@ def test_forward_zero_weights_propagates_bias():
 
 
 def test_forward_linear_net_is_matrix_product():
+    # Non-negative inputs, weights and biases make every hidden pre-activation positive, where
+    # the leaky-ReLU is the identity; the linear last layer passes negative outputs as they are.
     rng = np.random.default_rng(1)
-    net = nn.init_net(5, (4,), 3, rng)
-    net.activations = ["linear", "linear"]
-    x = rng.standard_normal((7, 5))
+    net = nn.init_net([5, 4, 3], rng)
+    net.weights[0], net.biases[0] = np.abs(net.weights[0]), np.abs(net.biases[0])
+    x = np.abs(rng.standard_normal((7, 5)))
     raw, _ = nn.forward(net, x)
     expect = (x @ net.weights[0].T + net.biases[0]) @ net.weights[1].T + net.biases[1]
-    assert np.allclose(raw, expect)
+    assert np.allclose(raw, expect) and (raw < 0).any()
 
 
 def test_forward_batch_row_equivalence():
     rng = np.random.default_rng(2)
-    net = nn.init_net(6, (8, 8), 4, rng)
+    net = nn.init_net([6, 8, 8, 4], rng)
     x = rng.standard_normal((5, 6))
     raw_batch, _ = nn.forward(net, x)
     for i in range(5):
@@ -43,7 +45,7 @@ def test_forward_batch_row_equivalence():
 
 
 def test_forward_dim_mismatch():
-    net = nn.init_net(6, (8,), 4, np.random.default_rng(3))
+    net = nn.init_net([6, 8, 4], np.random.default_rng(3))
     for x in (np.zeros((2, 5)), np.zeros(6)):  # wrong width; not a batch
         with pytest.raises(ValueError, match=r"is not \(B, 6\)"):
             nn.forward(net, x)
@@ -285,7 +287,7 @@ def test_adam_determinism():
 @pytest.mark.parametrize("head", ["quat", "6d", "A"])
 def test_end_to_end_gradcheck_tiny_net(head):
     rng = np.random.default_rng(14)
-    net = nn.init_net(12, (2,), nn.HEAD_DIMS[head], rng)
+    net = nn.init_net([12, 2, nn.HEAD_DIMS[head]], rng)
     x = rng.standard_normal((3, 12))
     R_gt, q_gt = random_rotations(3, rng)
 
@@ -527,41 +529,51 @@ def test_model_save_load_roundtrip(tmp_path):
 
 
 def test_load_model_rejects_non_model_files(tmp_path):
-    net = nn.init_net(60, (8,), 10, np.random.default_rng(0))
+    net = nn.init_net([60, 8, 10], np.random.default_rng(0))
     net.weights[0][0, 0] = np.inf
-    nn.save_model(tmp_path / "inf.npz", net, "A", small_cfg())
+    nn.save_model(tmp_path / "inf.npz", net, "A", small_cfg(hidden_widths=(8,)))
+    net.weights[0] = net.weights[0].astype(complex)
+    net.weights[0][0, 0] = 1j
+    nn.save_model(tmp_path / "complex.npz", net, "A", small_cfg(hidden_widths=(8,)))
     (tmp_path / "text.npz").write_text("not a model")
     np.savez(tmp_path / "other.npz", meta=np.frombuffer(b'{"format": "x"}', dtype=np.uint8))
-    for name, why in [("inf.npz", "not finite"), ("text.npz", "pickled"), ("other.npz", "format")]:
+    for name, why in [("inf.npz", "not finite"), ("complex.npz", "complex128, not real floating point"),
+                      ("text.npz", "pickled"), ("other.npz", "format")]:
         with pytest.raises(nn.InputError, match=f"{name}: not a so3sym-model-v1 file: .*{why}"):
             nn.load_model(tmp_path / name)
 
 
-@pytest.mark.parametrize("in_dim, out_dim, head, activations, why", [
-    (30, 10, "A", None, r"W0 \(8, 30\) .* input width 60 \(6 \* matches_per_rotation\)"),
-    (60, 4, "A", None, "output width 4 does not fit head 'A', which needs 10"),
-    (60, 4, "quat", ["leaky_relu"], "activations must be one of"),
-    (60, 4, "quat", ["relu", "linear"], "activations must be one of"),
-    (60, 4, "B", None, "head 'B' is not one of"),
-], ids=["input-width", "output-width", "activation-count", "activation-unknown", "head-unknown"])
-def test_load_model_checks_layers_against_config(tmp_path, in_dim, out_dim, head, activations, why):
-    net = nn.init_net(in_dim, (8,), out_dim, np.random.default_rng(0))
-    net.activations = activations or net.activations
-    nn.save_model(tmp_path / "m.npz", net, head, small_cfg())
+# Each model has layers in_dim -> 8 -> out_dim; its config has matches_per_rotation 10 and the
+# given hidden_widths, so layer_dims gives [60, *hidden, 4 | 6 | 10].
+@pytest.mark.parametrize("in_dim, out_dim, head, hidden, activations, why", [
+    (30, 10, "A", (8,), None, r"W0 \(8, 30\) and b0 \(8,\) are not \(8, 60\) and \(8,\): "
+     r"the config and head 'A' give layer widths \[60, 8, 10\]"),
+    (60, 4, "A", (8,), None, r"W1 \(4, 8\) and b1 \(4,\) are not \(10, 8\) and \(10,\)"),
+    (60, 10, "A", (64, 64), None, r"2 layers, but the config and head 'A' give layer widths \[60, 64, 64, 10\]"),
+    (60, 4, "quat", (8,), ["leaky_relu"], r"activations must be \['leaky_relu', 'linear'\], got \['leaky_relu'\]"),
+    (60, 4, "quat", (8,), ["relu", "linear"], r"activations must be .* got \['relu', 'linear'\]"),
+    (60, 4, "quat", (8,), ["linear", "linear"], r"activations must be .* got \['linear', 'linear'\]"),
+    (60, 4, "B", (8,), None, "head 'B' is not one of"),
+], ids=["input-width", "output-width", "hidden-widths", "activation-count", "activation-unknown",
+        "activation-pattern", "head-unknown"])
+def test_load_model_checks_layers_against_config(tmp_path, in_dim, out_dim, head, hidden, activations, why):
+    net = nn.init_net([in_dim, 8, out_dim], np.random.default_rng(0))
+    meta = {} if activations is None else {"activations": activations}
+    write_model(tmp_path / "m.npz", net, head, small_cfg(hidden_widths=hidden), **meta)
     with pytest.raises(nn.InputError, match=f"m.npz: .*{why}"):
         nn.load_model(tmp_path / "m.npz")
 
 
 def test_load_model_checks_layer_chain(tmp_path):
-    net = nn.init_net(60, (8, 8), 10, np.random.default_rng(0))
+    net = nn.init_net([60, 8, 8, 10], np.random.default_rng(0))
     net.weights[1] = net.weights[1][:, :5]
-    nn.save_model(tmp_path / "m.npz", net, "A", small_cfg())
-    with pytest.raises(nn.InputError, match=r"W1 \(8, 5\) .* input width 8 \(rows of W0\)"):
+    nn.save_model(tmp_path / "m.npz", net, "A", small_cfg(hidden_widths=(8, 8)))
+    with pytest.raises(nn.InputError, match=r"W1 \(8, 5\) and b1 \(8,\) are not \(8, 8\) and \(8,\)"):
         nn.load_model(tmp_path / "m.npz")
-    net = nn.init_net(60, (8,), 10, np.random.default_rng(0))
+    net = nn.init_net([60, 8, 10], np.random.default_rng(0))
     net.biases[0] = net.biases[0][:7]
-    nn.save_model(tmp_path / "m.npz", net, "A", small_cfg())
-    with pytest.raises(nn.InputError, match=r"b0 \(7,\)"):
+    nn.save_model(tmp_path / "m.npz", net, "A", small_cfg(hidden_widths=(8,)))
+    with pytest.raises(nn.InputError, match=r"b0 \(7,\) are not \(8, 60\) and \(8,\)"):
         nn.load_model(tmp_path / "m.npz")
 
 
@@ -654,19 +666,24 @@ def test_sample_batch_leaves_reference_vectors_intact():
 
 
 def test_leaky_relu_matches_where_reference():
-    z = np.array([[2.5, -3.0, 0.0, -0.0, 1e-300, -1e-300, 7.0, -0.25]])
+    # Zero weights make the hidden pre-activations the biases (a matmul never yields -0.0, so
+    # -0.0 comes out +0.0; the backward mask is checked on -0.0 below).
+    rng = np.random.default_rng(35)
+    net = nn.init_net([3, 8, 4], rng)
+    net.weights[0][:] = 0.0
+    net.biases[0][:] = [2.5, -3.0, 0.0, -0.0, 1e-300, -1e-300, 7.0, -0.25]
+    a_prev = rng.standard_normal((1, 3))
+    raw, cache = nn.forward(net, a_prev)
+    z = forward_reference(net, a_prev)[1][0][1]
+    assert np.array_equal(z[0], net.biases[0])
     ref = np.where(z > 0, z, nn.LEAKY_SLOPE * z)
-    got = nn._act(z, "leaky_relu")
+    got = cache[0][1]
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
 
-    rng = np.random.default_rng(35)
-    net = nn.init_net(3, (), z.shape[1], rng)
-    net.activations = ["leaky_relu"]
-    a_prev = rng.standard_normal((1, 3))
-    g = rng.standard_normal(z.shape)
-    (dW, db), = nn.backward(net, [(a_prev, z, "leaky_relu")], g)
-    g_ref = g * np.where(z > 0, 1.0, nn.LEAKY_SLOPE)
+    g = rng.standard_normal(raw.shape)
+    (dW, db), _ = nn.backward(net, cache, g)
+    g_ref = (g @ net.weights[1]) * np.where(z > 0, 1.0, nn.LEAKY_SLOPE)
     assert np.array_equal(dW, g_ref.T @ a_prev)
     assert np.array_equal(db, g_ref.sum(axis=0))
 
@@ -704,11 +721,10 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _leaky_net_with_zero_preactivations(last):
+def _leaky_net_with_zero_preactivations():
     """A leaky net on a batch where some pre-activations are exactly +0.0."""
     rng = np.random.default_rng(40)
-    net = nn.init_net(12, (16, 8), 10, rng)
-    net.activations[-1] = last
+    net = nn.init_net([12, 16, 8, 10], rng)
     net.weights[0][:3] = 0.0  # units 0-2 of layer 0: pre-activation = bias
     net.biases[0][:2] = 0.0
     net.biases[0][2] = -0.0
@@ -718,20 +734,20 @@ def _leaky_net_with_zero_preactivations(last):
     return net, x
 
 
-@pytest.mark.parametrize("last", ["linear", "leaky_relu"])
-def test_forward_and_backward_equal_out_of_place_oracle(last):
-    net, x = _leaky_net_with_zero_preactivations(last)
+def test_forward_and_backward_equal_out_of_place_oracle():
+    net, x = _leaky_net_with_zero_preactivations()
     raw, cache = nn.forward(net, x)
     raw_ref, cache_ref = forward_reference(net, x)
     assert _same_bits(raw, raw_ref)
-    assert any((z == 0).any() for _, z, _ in cache_ref)
-    for (a_in, a_out, act), (a_in_ref, z_ref, _) in zip(cache, cache_ref):
+    assert any((z == 0).any() for _, z in cache_ref)
+    outs_ref = [a for a, _ in cache_ref[1:]] + [raw_ref]  # each layer's output is the next one's input
+    for (a_in, a_out), (a_in_ref, _), a_out_ref in zip(cache, cache_ref, outs_ref):
         assert _same_bits(a_in, a_in_ref)
-        assert _same_bits(a_out, nn._act(z_ref.copy(), act))  # the cache holds outputs
+        assert _same_bits(a_out, a_out_ref)  # the cache holds outputs
     g = np.random.default_rng(41).standard_normal(raw.shape)
     g_before = g.copy()
     grads = nn.backward(net, cache, g)
-    assert _same_bits(g, g_before)  # grad_raw is not written, even under a leaky last layer
+    assert _same_bits(g, g_before)  # grad_raw is not written
     for (dW, db), (dW_ref, db_ref) in zip(grads, backward_reference(net, cache_ref, g)):
         assert _same_bits(dW, dW_ref) and _same_bits(db, db_ref)
     raw1, cache1 = nn.forward(net, x[2:3])
@@ -745,16 +761,17 @@ def test_backward_mask_from_outputs_equals_mask_from_preactivations():
     # A matmul never yields -0.0, so these pre-activations are set by hand.
     z = np.array([[2.5, -3.0, 0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, np.nan, -np.inf, np.inf]])
     rng = np.random.default_rng(42)
-    net = nn.init_net(3, (z.shape[1],), 4, rng)
-    net.activations = ["leaky_relu", "leaky_relu"]
+    net = nn.init_net([3, z.shape[1], 4, 2], rng)
     x = rng.standard_normal((1, 3))
     a1 = np.maximum(z, 0.01 * z)
     z2 = rng.standard_normal((1, 4))
     z2[0, :2] = [0.0, -0.0]
-    g = rng.standard_normal((1, 4))
+    a2 = np.maximum(z2, 0.01 * z2)
+    z3 = rng.standard_normal((1, 2))
+    g = rng.standard_normal((1, 2))
     with np.errstate(invalid="ignore"):
-        got = nn.backward(net, [(x, a1, "leaky_relu"), (a1, np.maximum(z2, 0.01 * z2), "leaky_relu")], g)
-        ref = backward_reference(net, [(x, z, "leaky_relu"), (a1, z2, "leaky_relu")], g)
+        got = nn.backward(net, [(x, a1), (a1, a2), (a2, z3)], g)
+        ref = backward_reference(net, [(x, z), (a1, z2), (a2, z3)], g)
     for (dW, db), (dW_ref, db_ref) in zip(got, ref):
         assert _same_bits(dW, dW_ref) and _same_bits(db, db_ref)
 

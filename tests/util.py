@@ -1,5 +1,7 @@
 """Shared test oracles, kept independent of the library code paths they check."""
 
+import json
+
 import numpy as np
 
 from so3sym import so3
@@ -191,14 +193,17 @@ def qcqp_forward_reference(A, gap_tol=1e-8):
 
 
 def forward_reference(net, x):
-    """nn.forward with a fresh array per activation; cache[l] is (input, pre-activation, kind)."""
+    """nn.forward with a fresh array per activation; cache[l] is (input, pre-activation).
+
+    Every layer but the last is leaky-ReLU with slope 0.01; the last is linear.
+    """
     a = np.asarray(x, dtype=float)
     cache = []
-    for W, b, act in zip(net.weights, net.biases, net.activations):
+    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ W.T
         z += b
-        cache.append((a, z, act))
-        a = np.maximum(z, 0.01 * z) if act == "leaky_relu" else z
+        cache.append((a, z))
+        a = np.maximum(z, 0.01 * z) if l < len(net.weights) - 1 else z
     return a, cache
 
 
@@ -207,8 +212,8 @@ def backward_reference(net, cache, grad_raw):
     g = np.asarray(grad_raw, dtype=float)
     grads = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, -1, -1):
-        a_prev, z, act = cache[l]
-        if act == "leaky_relu":
+        a_prev, z = cache[l]
+        if l < len(net.weights) - 1:
             g = np.where(z > 0, g, 0.01 * g)
         grads[l] = (g.T @ a_prev, g.sum(axis=0))
         g = g @ net.weights[l]
@@ -252,3 +257,13 @@ def sample_batch_reference(cfg, rng, n, corruption="none"):
         v = np.where(blank[..., None], 0.0, v)
     x = np.concatenate([u, v], axis=-1).reshape(n, 6 * m)
     return x, so3.canonicalize_quat(q_gt), R_gt
+
+
+def write_model(path, net, head, cfg, **meta):
+    """Write a so3sym-model-v1 file (a path or a binary file) as the README describes it,
+    without nn.save_model; `meta` replaces entries, such as activations or config."""
+    meta = {"format": "so3sym-model-v1", "head": head,
+            "activations": ["leaky_relu"] * (len(net.weights) - 1) + ["linear"],
+            "config": vars(cfg), **meta}
+    arrays = {f"{k}{l}": a for l, W_b in enumerate(zip(net.weights, net.biases)) for k, a in zip("Wb", W_b)}
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
