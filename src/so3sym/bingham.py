@@ -25,7 +25,9 @@ class BinghamBelief:
     """Orthogonal axes matrix and dispersion coefficients.
 
     axes: 4x4 orthogonal; columns 0..2 are dispersion axes matching
-          dispersions[0..2], column 3 is the mode (canonical sign).
+          dispersions[0..2], column 3 is the mode. Every column is a
+          quaternion signed by so3.canonicalize_quat (w > 0, or where w == 0
+          the first nonzero of x, y, z positive), as symeig4 signs them.
     dispersions: (d1, d2, d3) with d1 <= d2 <= d3 <= 0.
     """
 
@@ -43,11 +45,9 @@ def belief_from_A(A):
     Requires a simple minimum eigenvalue of A so the mode is unique;
     raises DegenerateEigenspace otherwise (the qcqp_solve gate).
     """
-    mode, dec = qcqp_solve(A)
+    _, dec = qcqp_solve(A)
     lams = dec.lambdas
-    axes = dec.vectors[:, ::-1].copy()
-    axes[:, 3] = mode
-    return BinghamBelief(axes=axes, dispersions=lams[0] - lams[:0:-1])
+    return BinghamBelief(axes=dec.vectors[:, ::-1].copy(), dispersions=lams[0] - lams[:0:-1])
 
 
 def log_density_unnorm(belief, x):

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .averaging import chordal_mean, quat_mean
-from .so3 import canonicalize_quat, d_ang, d_chord, d_quat, quat_to_rot
+from .so3 import d_ang, d_chord, d_quat, quat_to_rot
 from .symrep import (A_to_theta, DegenerateEigenspace, EigenDecomp4, qcqp_forward,
                      qcqp_jacobian_theta, qcqp_solve, theta_to_A)
 from .wahba import (
@@ -281,7 +281,6 @@ def cmd_avg(args):
     else:
         mean = quat_mean(quats)
         cost = float(np.sum(d_quat(mean, quats) ** 2))
-    mean = canonicalize_quat(mean)
     print(f"count: {len(quats)}")
     print(f"method: {args.method}")
     print(f"mean: {_fmt(mean[0])} {_fmt(mean[1])} {_fmt(mean[2])} {_fmt(mean[3])}")

@@ -18,6 +18,7 @@ raising. Everything is plain numpy and deterministic for a fixed seed.
 """
 
 import functools
+import itertools
 import json
 import numbers
 import zipfile
@@ -766,45 +767,56 @@ def save_model(path, net, head, config):
     np.savez(path, **arrays)
 
 
-def _check_model(net, head, cfg, activations):
-    """Raise ValueError unless the layers have the shapes layer_dims(cfg, head) gives and
-    activations lists the one pattern train writes."""
+def _check_model(shapes, head, cfg, activations):
+    """Raise ValueError unless the (W_l, b_l) shapes are the ones layer_dims(cfg, head) gives
+    and activations lists the one pattern train writes."""
     if head not in HEADS:
         raise ValueError(f"head {head!r} is not one of {HEADS}")
     dims = layer_dims(cfg, head)
     given = f"the config and head {head!r} give layer widths {dims}"
-    if len(net.weights) != len(dims) - 1:
-        raise ValueError(f"{len(net.weights)} layers, but {given}")
-    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        if W.shape != (dims[l + 1], dims[l]) or b.shape != (dims[l + 1],):
-            raise ValueError(f"W{l} {W.shape} and b{l} {b.shape} are not ({dims[l + 1]}, {dims[l]}) "
+    if len(shapes) != len(dims) - 1:
+        raise ValueError(f"{len(shapes)} layers, but {given}")
+    for l, (W, b) in enumerate(shapes):
+        if W != (dims[l + 1], dims[l]) or b != (dims[l + 1],):
+            raise ValueError(f"W{l} {W} and b{l} {b} are not ({dims[l + 1]}, {dims[l]}) "
                              f"and ({dims[l + 1]},): {given}")
     want = _activations(len(dims) - 1)
     if activations != want:
         raise ValueError(f"activations must be {want}, got {activations!r}")
 
 
+def _npy_header(data, key):
+    """(shape, dtype) of npz member key, read from its .npy header alone."""
+    fmt = np.lib.format
+    with data.zip.open(f"{key}.npy") as fh:
+        # A 3.0 header is a 2.0 header in utf-8, the same bytes for a numeric dtype.
+        version = fmt.read_magic(fh)
+        read = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        shape, _, dtype = read(fh)
+    return shape, dtype
+
+
 def load_model(path):
     """Returns (net, head, config_dict); raises InputError naming the file unless it is a
-    finite real model whose config is valid and whose layers are the ones train builds."""
+    finite real model whose config is valid and whose layers are the ones train builds.
+    Shapes and dtypes are checked from the .npy headers before any array data is read."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:  # np.load(path) leaks it on a bad zip
             meta = json.loads(bytes(data["meta"]).decode())
             if meta.get("format") != MODEL_FORMAT:
                 raise ValueError(f"format is {meta.get('format')!r}")
-            weights, biases, l = [], [], 0
-            while f"W{l}" in data:
-                weights.append(data[f"W{l}"])
-                biases.append(data[f"b{l}"])
-                l += 1
-        arrays = weights + biases
-        kinds = sorted({a.dtype.name for a in arrays if not np.issubdtype(a.dtype, np.floating)})
-        if kinds:
-            raise ValueError(f"weights are {', '.join(kinds)}, not real floating point")
-        if not all(np.isfinite(a).all() for a in arrays):
+            n = next(l for l in itertools.count() if f"W{l}" not in data)
+            headers = [(_npy_header(data, f"W{l}"), _npy_header(data, f"b{l}")) for l in range(n)]
+            kinds = sorted({dt.name for pair in headers for _, dt in pair
+                            if not np.issubdtype(dt, np.floating)})
+            if kinds:
+                raise ValueError(f"weights are {', '.join(kinds)}, not real floating point")
+            _check_model([(W[0], b[0]) for W, b in headers], meta["head"],
+                         TrainConfig.from_dict(meta["config"]), meta["activations"])
+            weights = [data[f"W{l}"] for l in range(n)]
+            biases = [data[f"b{l}"] for l in range(n)]
+        if not all(np.isfinite(a).all() for a in weights + biases):
             raise ValueError("weights are not finite")
-        net = DenseNet(weights, biases)
-        _check_model(net, meta["head"], TrainConfig.from_dict(meta["config"]), meta["activations"])
-        return net, meta["head"], meta["config"]
+        return DenseNet(weights, biases), meta["head"], meta["config"]
     except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         raise InputError(f"{path}: not a {MODEL_FORMAT} file: {exc}") from None

@@ -4,9 +4,9 @@ No plotting dependency: plots are hand-assembled SVG/XML with the plotted
 numbers embedded as comments so the artifacts stay diffable.
 """
 
-import math
-
 import numpy as np
+
+from .bingham import _quantile
 
 WIDTH, HEIGHT = 720, 440
 MARGIN = {"left": 64, "right": 160, "top": 40, "bottom": 48}
@@ -16,19 +16,6 @@ HEAD_COLORS = {"quat": "#d62728", "6d": "#1f77b4", "A": "#2ca02c"}
 def _escape(text):
     """Escape &, < and > for SVG text content."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _median(xs):
-    """np.median of a nonempty list of floats, bit for bit: the middle value, or the mean of
-    the middle pair; nan if any is nan. The partition takes numpy's kth list, and the mean
-    adds from +0.0 as np.mean does, so signed zeros come out as numpy's do. np.median
-    itself imports numpy.ma on first use.
-    """
-    m = len(xs) // 2
-    part = np.partition(np.asarray(xs, dtype=float), [m, -1] if len(xs) % 2 else [m - 1, m, -1])
-    if np.isnan(part[-1]):
-        return math.nan
-    return 0.0 + float(part[m]) if len(xs) % 2 else (0.0 + float(part[m - 1]) + float(part[m])) / 2
 
 
 def _scale(lo, hi, out_lo, out_hi):
@@ -67,10 +54,10 @@ def render_learning_curves(rows, path):
     for head in heads:
         med, p10, p90 = [], [], []
         for e in epochs:
-            sub = [r for r in rows if r.head == head and r.epoch == e]
-            med.append(_median([r.median_deg for r in sub]))
-            p10.append(_median([r.p10_deg for r in sub]))
-            p90.append(_median([r.p90_deg for r in sub]))
+            sub = np.array([(r.median_deg, r.p10_deg, r.p90_deg)
+                            for r in rows if r.head == head and r.epoch == e])
+            for out, col in zip((med, p10, p90), sub.T):
+                out.append(float(_quantile(col, 0.5)))
         series[head] = (med, p10, p90)
 
     y_max = max(max(p90) for _, _, p90 in series.values()) * 1.05 + 1e-9

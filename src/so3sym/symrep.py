@@ -11,8 +11,11 @@ This module is the only one that knows how the QCQP layer works:
 `qcqp_forward` is the batched readout and holds the eigengap gate,
 `qcqp_solve` the single-matrix readout that raises where the gate fails,
 `qcqp_vjp` the backward pass, and `theta_to_A_adjoint` pulls matrix
-gradients back to theta. The eigensolver is batched LAPACK `eigh` with a
-canonical eigenvector sign, so results are deterministic per matrix.
+gradients back to theta. The eigensolver is batched LAPACK `eigh`. Every
+eigenvector is a unit quaternion and takes the one quaternion sign rule,
+`so3.canonicalize_quat` (w > 0; where w == 0, the first nonzero of x, y, z
+positive), so results are deterministic per matrix and q* is column 0 as it
+comes.
 """
 
 import math
@@ -25,7 +28,6 @@ from .so3 import canonicalize_quat
 # (row, col) of the upper triangle addressed by each theta entry, row-major.
 _THETA_POS = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 _ROWS, _COLS = np.array(_THETA_POS).T
-_COL = np.arange(4)
 
 DEFAULT_GAP_TOL = 1e-8
 
@@ -39,8 +41,9 @@ class EigenDecomp4:
     """Eigendecomposition of a symmetric 4x4 matrix (batched over leading dims).
 
     lambdas: (..., 4) ascending eigenvalues.
-    vectors: (..., 4, 4) orthonormal columns, vectors[..., :, i] for lambdas[..., i],
-             sign-canonicalized so each column's largest-magnitude entry is positive.
+    vectors: (..., 4, 4) orthonormal columns, vectors[..., :, i] for lambdas[..., i].
+             Each column is a quaternion (x, y, z, w) signed by so3.canonicalize_quat:
+             w > 0, or where w == 0 the first nonzero of x, y, z is positive.
     """
 
     lambdas: np.ndarray
@@ -129,26 +132,20 @@ def symeig4(A):
 
     Accepts (..., 4, 4). Each matrix is decomposed on its own, so the
     result for one matrix does not depend on what else shares the batch.
-    Eigenvector signs are canonical: each column's largest-magnitude
-    entry is positive. Raises ValueError on asymmetric or non-finite input.
+    Every eigenvector column is signed by so3.canonicalize_quat, the one
+    quaternion sign rule. Raises ValueError on asymmetric or non-finite input.
     """
     lams, V = np.linalg.eigh(_lapack_input(A))
-    idx = np.abs(V).argmax(axis=-2)
-    if V.ndim == 2:
-        picked = V[idx, _COL]
-    else:
-        picked = np.take_along_axis(V, idx[..., None, :], axis=-2)[..., 0, :]
-    V *= np.copysign(1.0, picked)[..., None, :]
-    return EigenDecomp4(lams, V)
+    return EigenDecomp4(lams, np.swapaxes(canonicalize_quat(np.swapaxes(V, -1, -2)), -1, -2))
 
 
 def qcqp_forward(A, gap_tol=DEFAULT_GAP_TOL, decomp=None):
     """Batched QCQP readout of (..., 4, 4) matrices: (q*, decomp, valid).
 
-    q* is the canonical-sign minimum eigenvector and decomp the
-    symeig4(A) it came from (pass it in when already computed). valid is
-    False where the minimum eigenvalue is not simple,
-    lambda2 - lambda1 < gap_tol * max(1, ||A||_F); q* there is arbitrary.
+    q* is a copy of column 0 of decomp.vectors, the minimum eigenvector in
+    canonical sign, and decomp the symeig4(A) it came from (pass it in when
+    already computed). valid is False where the minimum eigenvalue is not
+    simple, lambda2 - lambda1 < gap_tol * max(1, ||A||_F); q* there is arbitrary.
     """
     A = np.asarray(A, dtype=float)
     if decomp is None:
@@ -159,12 +156,10 @@ def qcqp_forward(A, gap_tol=DEFAULT_GAP_TOL, decomp=None):
         fro = math.sqrt(np.add.reduce(x * x))
         lams = decomp.lambdas
         valid = np.bool_(float(lams[1]) - float(lams[0]) >= gap_tol * max(1.0, fro))
-        q = decomp.vectors[:, 0]
-        return (q.copy() if q[3] > 0 else canonicalize_quat(q)), decomp, valid
-    fro = np.linalg.norm(A.reshape(A.shape[:-2] + (16,)), axis=-1)
-    valid = decomp.eigengap >= gap_tol * np.maximum(1.0, fro)
-    q = canonicalize_quat(decomp.vectors[..., :, 0])
-    return q, decomp, valid
+    else:
+        fro = np.linalg.norm(A.reshape(A.shape[:-2] + (16,)), axis=-1)
+        valid = decomp.eigengap >= gap_tol * np.maximum(1.0, fro)
+    return decomp.vectors[..., :, 0].copy(), decomp, valid
 
 
 def _raise_if_degenerate(valid, decomp):

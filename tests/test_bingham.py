@@ -31,6 +31,18 @@ def test_belief_invariants():
         assert np.isclose(np.linalg.norm(belief.mode), 1.0)
 
 
+def test_belief_mode_is_the_readout_bit_for_bit():
+    """axes[:, 3] is qcqp_solve's q*, also where w == 0 and the sign falls back to x or y."""
+    rng = np.random.default_rng(5)
+    pure = rng.standard_normal((100, 4))
+    pure[:, 3] = 0.0
+    pure[::2, 0] = 0.0
+    pure /= np.linalg.norm(pure, axis=-1, keepdims=True)
+    for A in [rand_sym_with_gap(rng) for _ in range(100)] + list(symrep.smooth_section(pure)):
+        q, _ = symrep.qcqp_solve(A)
+        assert bingham.belief_from_A(A).axes[:, 3].tobytes() == q.tobytes()
+
+
 def test_belief_shift_invariance():
     rng = np.random.default_rng(2)
     A = rand_sym_with_gap(rng)

@@ -14,7 +14,7 @@ import pytest
 from so3sym import averaging, bingham, cli, nn, so3, symrep, wahba
 from so3sym.wahba import SyntheticConfig
 
-from util import kabsch, write_model
+from util import kabsch, write_model, write_model_with_bare_header
 
 
 def run(capsys, *argv):
@@ -151,6 +151,14 @@ def _model_npz(in_dim=60, out_dim=10, dtype=float, **meta):
     return buf.getvalue()
 
 
+def _bare_header_model_npz():
+    """Bytes of a 60 -> 8 -> 10 model whose W0 is a lone header declaring (12 500 000, 1)."""
+    buf = io.BytesIO()
+    write_model_with_bare_header(buf, nn.init_net([60, 8, 10], np.random.default_rng(0)), "A",
+                                 _CFG_8, "W0", (12_500_000, 1))
+    return buf.getvalue()
+
+
 def _overflowing_model_npz():
     """Bytes of a finite A-head model whose weights, 1e200 times too large, overflow its output."""
     net = nn.init_net([60, 8, 10], np.random.default_rng(0))
@@ -208,6 +216,8 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
      "m.npz: not a so3sym-model-v1 file: activations must be ['leaky_relu', 'linear']"),
     ({"m.npz": _model_npz(dtype=complex)}, _DT_EVAL, 2,
      "m.npz: not a so3sym-model-v1 file: weights are complex128, not real floating point"),
+    ({"m.npz": _bare_header_model_npz()}, _DT_EVAL, 2,
+     "m.npz: not a so3sym-model-v1 file: W0 (12500000, 1) and b0 (8,) are not (8, 60) and (8,)"),
     ({"pairs.csv": "ux,uy,uz,vx,vy,vz,sigma\n"}, ["wahba", "{d}/pairs.csv"], 2,
      "pairs.csv: no correspondences"),
     ({}, ["wahba", "--synthetic", "--phi-max-deg", "200"], 2, "argument --phi-max-deg: "
@@ -233,7 +243,7 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
         "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
         "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
         "model-input-width", "model-output-width", "model-activation", "model-hidden-mismatch",
-        "model-activation-pattern", "model-complex", "wahba-empty", "phi-max-200",
+        "model-activation-pattern", "model-complex", "model-oversized-header", "wahba-empty", "phi-max-200",
         "matches-over-bound", "width-over-bound", "avg-weight-1e160", "avg-weight-1e308",
         "dt-eval-output-overflow", "count-over-bound", "n-over-bound", "mix-over-bound",
         "layers-over-bound", "mix-over-model-bound"])

@@ -4,7 +4,7 @@ import pytest
 from so3sym import nn, so3, symrep
 
 from util import (adam_step_reference, backward_reference, forward_reference, is_rotation,
-                  random_rotations, sample_batch_reference, write_model)
+                  random_rotations, sample_batch_reference, write_model, write_model_with_bare_header)
 
 
 # -- dense net ----------------------------------------------------------------
@@ -574,6 +574,16 @@ def test_load_model_checks_layer_chain(tmp_path):
     net.biases[0] = net.biases[0][:7]
     nn.save_model(tmp_path / "m.npz", net, "A", small_cfg(hidden_widths=(8,)))
     with pytest.raises(nn.InputError, match=r"b0 \(7,\) are not \(8, 60\) and \(8,\)"):
+        nn.load_model(tmp_path / "m.npz")
+
+
+def test_load_model_checks_shapes_before_reading_data(tmp_path):
+    """W0's header declares 100 MB the file does not hold: the header alone must reject it."""
+    net = nn.init_net([60, 8, 10], np.random.default_rng(0))
+    write_model_with_bare_header(tmp_path / "m.npz", net, "A", small_cfg(hidden_widths=(8,)),
+                                 "W0", (12_500_000, 1))
+    with pytest.raises(nn.InputError, match=r"m.npz: not a so3sym-model-v1 file: "
+                       r"W0 \(12500000, 1\) and b0 \(8,\) are not \(8, 60\) and \(8,\)"):
         nn.load_model(tmp_path / "m.npz")
 
 

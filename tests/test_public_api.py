@@ -58,7 +58,7 @@ SET_DEFAULTS = {
 SHARED_PRIVATE = {
     "_dispersion_trace": "symrep -> bingham: the one dispersion-trace formula",
     "_lapack_input": "symrep -> bingham: the symmetry check eigvalsh needs too",
-    "_quantile": "bingham -> nn: np.quantile bit for bit, without importing numpy.ma",
+    "_quantile": "bingham -> nn, svgplot: np.quantile bit for bit, without importing numpy.ma",
     "_read_csv_table": "wahba -> cli: the one reader of both CSV formats",
 }
 

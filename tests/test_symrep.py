@@ -371,6 +371,7 @@ def test_section_roundtrip_near_double_cover_seam():
 
 BATCH_SHAPES = [(), (1,), (100,), (10_000,), (3, 5)]
 _HALF_HADAMARD = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1.0]])
+_CUTS = np.array([[0, 0, 0, 1], [1, 0, 0, 1], [0, 0, 1, 0]], dtype=bool)  # (w), (x, w), (z)
 
 
 def input_kinds(rng, shape):
@@ -385,12 +386,18 @@ def input_kinds(rng, shape):
             Z[max(i, j), min(i, j)], Z[min(i, j), max(i, j)] = -0.0, 0.0
     zeros = zeros.reshape(A.shape)
     ints = rng.integers(-2, 3, A.shape).astype(float)
+    # Eigenvectors with w == 0 exactly, so the sign falls back to x, y or z: per matrix,
+    # the w row and column (the readout is a 180 deg rotation where it is q*), the w and
+    # x ones, or the z ones hold only their diagonal entry.
+    cut = _CUTS[rng.integers(0, len(_CUTS), shape)]
+    lone = (cut[..., :, None] | cut[..., None, :]) & ~np.eye(4, dtype=bool)
     return {
         "symmetric": A,
         "skew_1e-14": A + 1e-14 * rng.standard_normal(A.shape),
         "signed_zeros": zeros,
         "tied_magnitudes": (_HALF_HADAMARD * rng.standard_normal(shape + (1, 4))) @ _HALF_HADAMARD,
         "integer": ints + np.swapaxes(ints, -1, -2),
+        "zero_w": np.where(lone, 0.0, A),
     }
 
 
@@ -411,6 +418,25 @@ def test_lean_readout_matches_reference_bitwise(shape):
         assert same_bits(dec_fwd.vectors, V_ref), kind
         assert same_bits(q, q_ref), kind
         assert same_bits(valid, valid_ref), kind
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=str)
+def test_symeig4_columns_are_canonical_quaternions(shape):
+    """One sign rule: every eigenvector column is what so3.canonicalize_quat makes of it."""
+    rng = np.random.default_rng(sum(shape) + 43)
+    for kind, A in input_kinds(rng, shape).items():
+        V = symrep.symeig4(A).vectors
+        assert same_bits(np.swapaxes(so3.canonicalize_quat(np.swapaxes(V, -1, -2)), -1, -2), V), kind
+
+
+def test_zero_w_kind_flips_every_fallback():
+    """LAPACK's zero_w eigenvectors need the x, y and z fallbacks, each both ways."""
+    V = np.linalg.eigh(input_kinds(np.random.default_rng(44), (2000,))["zero_w"])[1]
+    x, y, z, w = np.moveaxis(V, -2, 0)
+    on = w == 0
+    for name, c in zip("xyz", (x, y, z)):
+        assert (on & (c < 0)).any() and (on & (c > 0)).any(), name
+        on &= c == 0
 
 
 def test_lean_readout_rows_match_single_calls():

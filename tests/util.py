@@ -1,6 +1,8 @@
 """Shared test oracles, kept independent of the library code paths they check."""
 
+import io
 import json
+import zipfile
 
 import numpy as np
 
@@ -163,7 +165,9 @@ def chordal_cost_at(q_candidates, quats, weights=None):
 def symeig4_reference(A):
     """symeig4 as first written: tolerance check, symmetrize, eigh, take_along_axis sign.
 
-    The lean readout must match it bit for bit wherever it accepts the input.
+    The sign step is the quaternion rule: each column's first nonzero entry in the
+    order w, x, y, z is positive. The lean readout must match it bit for bit wherever
+    it accepts the input.
     """
     A = np.asarray(A, dtype=float)
     scale = np.maximum(np.abs(A).max(axis=(-2, -1)), 1.0)
@@ -174,8 +178,9 @@ def symeig4_reference(A):
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
     lams, V = np.linalg.eigh(A)
-    idx = np.argmax(np.abs(V), axis=-2)
-    picked = np.take_along_axis(V, idx[..., None, :], axis=-2)[..., 0, :]
+    wxyz = V[..., [3, 0, 1, 2], :]
+    idx = np.argmax(wxyz != 0.0, axis=-2)
+    picked = np.take_along_axis(wxyz, idx[..., None, :], axis=-2)[..., 0, :]
     return lams, V * np.where(picked < 0, -1.0, 1.0)[..., None, :]
 
 
@@ -267,3 +272,17 @@ def write_model(path, net, head, cfg, **meta):
             "config": vars(cfg), **meta}
     arrays = {f"{k}{l}": a for l, W_b in enumerate(zip(net.weights, net.biases)) for k, a in zip("Wb", W_b)}
     np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
+def write_model_with_bare_header(path, net, head, cfg, member, shape):
+    """write_model, then replace the npz member (e.g. "W0") by a lone float64 .npy header
+    declaring shape: the file holds none of the data it declares, so reading it fails."""
+    buf = io.BytesIO()
+    write_model(buf, net, head, cfg)
+    with zipfile.ZipFile(buf) as src, zipfile.ZipFile(path, "w") as out:
+        for name in src.namelist():
+            if name != f"{member}.npy":
+                out.writestr(name, src.read(name))
+        with out.open(f"{member}.npy", "w") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<f8", "fortran_order": False, "shape": tuple(shape)})
