@@ -163,8 +163,17 @@ def cmd_train(args):
 
     cfg = nn.TrainConfig.from_json(args.config, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    result = nn.train_experiment(cfg)
-    rows = sorted(result.rows(), key=lambda r: (r.head, r.trial, r.epoch, r.split))
+    # Each trial's model is written as the trial ends, so a later divergence keeps it.
+    rows, saved, degen = [], [], 0
+    for t in nn.train_experiment(cfg):
+        rows += t.rows
+        degen += t.degenerate_count
+        if args.save_model:
+            path = os.path.join(args.out, f"model_{t.head}_t{t.trial}.npz")
+            nn.save_model(path, t.net, t.head, cfg)
+            saved.append(path)
+        del t  # drop the net before the next trial builds its own
+    rows.sort(key=lambda r: (r.head, r.trial, r.epoch, r.split))
 
     csv_path = os.path.join(args.out, "results.csv")
     _write_csv(csv_path, RESULTS_SCHEMA, ["trial", "seed", "lr", "epoch", "split", "head", "mean_deg",
@@ -176,12 +185,8 @@ def cmd_train(args):
     svgplot.render_learning_curves(rows, svg_path)
     print(f"wrote {svg_path}")
 
-    if args.save_model:
-        for t in result.trials:
-            path = os.path.join(args.out, f"model_{t.head}_t{t.trial}.npz")
-            nn.save_model(path, t.net, t.head, cfg)
-            print(f"wrote {path}")
-    degen = sum(t.degenerate_count for t in result.trials)
+    for path in saved:
+        print(f"wrote {path}")
     if degen:
         print(f"degenerate training samples skipped: {degen}")
     return 0
@@ -194,6 +199,9 @@ def cmd_train(args):
 def cmd_dt_eval(args):
     from . import nn
 
+    if args.corruption != "none" and args.mix < 2:
+        raise InputError(f"--mix {args.mix} holds no corrupted sample (a mix of n corrupts n // 2); "
+                         f"--corruption {args.corruption} needs --mix 2 or more")
     net, head, cfg_dict = nn.load_model(args.model)
     cfg = nn.TrainConfig.from_dict(cfg_dict)
     if head != "A":

@@ -5,6 +5,7 @@ The learning-trend and OOD criteria share one trained sweep via fixtures.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,34 +125,32 @@ SWEEP = dict(lr=None, epochs=50, batch_rotations=100, matches_per_rotation=10,
              trials=10, test_rotations=500, lr_range=(1e-4, 1e-3))
 
 
+def run_sweep(phi_max_deg):
+    """Train the sweep at phi_max_deg. Keeps each trial's final test row per head, and the
+    A-head nets criterion 6 scores; every other net goes as its trial ends."""
+    cfg = nn.TrainConfig(seed=2024, phi_max_deg=phi_max_deg, head="all", **SWEEP)
+    t0 = time.perf_counter()
+    final, a_nets = {}, {}
+    for t in nn.train_experiment(cfg):
+        final.setdefault(t.trial, {})[t.head] = [r for r in t.rows if r.split == "test"][-1]
+        if t.head == "A":
+            a_nets[t.trial] = t.net
+    return SimpleNamespace(cfg=cfg, final=final, a_nets=a_nets,
+                           elapsed=time.perf_counter() - t0)
+
+
 @pytest.fixture(scope="module")
 def sweep_180():
-    cfg = nn.TrainConfig(seed=2024, phi_max_deg=180.0, head="all", **SWEEP)
-    t0 = time.perf_counter()
-    res = nn.train_experiment(cfg)
-    res.elapsed = time.perf_counter() - t0
-    return res
+    return run_sweep(180.0)
 
 
 @pytest.fixture(scope="module")
 def sweep_90():
-    cfg = nn.TrainConfig(seed=2024, phi_max_deg=90.0, head="all", **SWEEP)
-    t0 = time.perf_counter()
-    res = nn.train_experiment(cfg)
-    res.elapsed = time.perf_counter() - t0
-    return res
-
-
-def final_test_rows(result):
-    per_trial = {}
-    for t in result.trials:
-        fin = [r for r in t.rows if r.split == "test"][-1]
-        per_trial.setdefault(t.trial, {})[t.head] = fin
-    return per_trial
+    return run_sweep(90.0)
 
 
 def test_criterion_5_learning_trend(sweep_180, sweep_90):
-    hard = final_test_rows(sweep_180)
+    hard = sweep_180.final
     ok_hard = 0
     for heads in hard.values():
         cond = (heads["A"].median_deg < heads["quat"].median_deg
@@ -159,7 +158,7 @@ def test_criterion_5_learning_trend(sweep_180, sweep_90):
                 and heads["quat"].p90_deg >= 2.0 * heads["A"].p90_deg)
         ok_hard += cond
 
-    easy = final_test_rows(sweep_90)
+    easy = sweep_90.final
     ok_easy = 0
     for heads in easy.values():
         meds = [h.median_deg for h in heads.values()]
@@ -173,14 +172,13 @@ def test_criterion_5_learning_trend(sweep_180, sweep_90):
 
 
 def test_criterion_6_dispersion_thresholding(sweep_180):
-    a_trials = [t for t in sweep_180.trials if t.head == "A"]
-    assert len(a_trials) == 10
-    cfg = sweep_180.config
+    assert len(sweep_180.a_nets) == 10
+    cfg = sweep_180.cfg
     order_ok = precision_ok = kept_ok = 0
     precisions = []
-    for t in a_trials:
-        rep = nn.dt_evaluate(t.net, cfg, q=0.75, corruption="noise",
-                             rng=rng_for(cfg.seed, t.trial, 606), n_mix=200)
+    for trial, net in sweep_180.a_nets.items():
+        rep = nn.dt_evaluate(net, cfg, q=0.75, corruption="noise",
+                             rng=rng_for(cfg.seed, trial, 606), n_mix=200)
         order_ok += rep.mean_trace_corrupted > rep.mean_trace_clean
         prec = rep.precision if rep.precision is not None else 0.0
         precisions.append(prec)

@@ -239,6 +239,8 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
      "hidden_widths must have at most 32 entries, got 33"),
     ({"m.npz": _m1000_model_npz()}, _DT_EVAL + ["--mix", "1394"], 2,
      "--mix 1394 is over 1393 for a model of per-sample width 6266"),
+    ({"m.npz": _model_npz()}, _DT_EVAL + ["--mix", "1", "--corruption", "noise"], 2,
+     "--mix 1 holds no corrupted sample"),
 ], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
         "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
         "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
@@ -246,7 +248,7 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
         "model-activation-pattern", "model-complex", "model-oversized-header", "wahba-empty", "phi-max-200",
         "matches-over-bound", "width-over-bound", "avg-weight-1e160", "avg-weight-1e308",
         "dt-eval-output-overflow", "count-over-bound", "n-over-bound", "mix-over-bound",
-        "layers-over-bound", "mix-over-model-bound"])
+        "layers-over-bound", "mix-over-model-bound", "mix-without-corrupted"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
@@ -443,6 +445,55 @@ def test_train_rerun_identical(tmp_path, capsys):
     run(capsys, "--out", d2, "train", cfg)
     assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
     assert (d1 / "learning_curves.svg").read_bytes() == (d2 / "learning_curves.svg").read_bytes()
+
+
+def test_train_divergence_keeps_finished_models_only(tmp_path, capsys, monkeypatch):
+    """A run that diverges on trial 1 keeps trial 0's model as a full run writes it, and writes
+    neither results.csv nor the SVG."""
+    cfg = write_cfg(tmp_path, head="A", trials=2)
+    assert run(capsys, "--out", tmp_path / "full", "train", cfg, "--save-model")[0] == 0
+    train_single = nn.train_single
+
+    def diverge_on_trial_1(cfg, head, trial=0):
+        if trial == 1:
+            raise FloatingPointError(f"training diverged at head {head}, trial {trial}")
+        return train_single(cfg, head, trial)
+
+    monkeypatch.setattr(nn, "train_single", diverge_on_trial_1)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "--out", out_dir, "train", cfg, "--save-model")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: training diverged at head A, trial 1"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["model_A_t0.npz"]
+    assert ((out_dir / "model_A_t0.npz").read_bytes()
+            == (tmp_path / "full" / "model_A_t0.npz").read_bytes())
+
+
+# The peak resident set of this process alone, in KiB. ru_maxrss would not do: Linux carries
+# it over from the parent at fork, so a child of a large pytest process reports the parent's.
+_PEAK = """
+import sys
+from so3sym import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(code, next(l.split()[1] for l in fh if l.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_train_holds_one_net_at_a_time(tmp_path):
+    """30 trials of a 32-layer net: holding every trained net (about 4.3 MB each, and 167 MB at
+    peak) would breach 100 MB; one at a time peaks at about 52 MB."""
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({"hidden_widths": [128] * 32, "epochs": 0, "head": "A",
+                               "trials": 30}))
+    proc = subprocess.run([sys.executable, "-c", _PEAK, "--out", str(tmp_path / "out"), "train",
+                           str(cfg), "--save-model"], cwd=REPO,
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                          capture_output=True, text=True, check=True)
+    code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0 and len(list((tmp_path / "out").glob("model_A_t*.npz"))) == 30
+    assert peak_kib / 1024 <= 100
 
 
 @pytest.mark.parametrize("key, value", [("trials", 0), ("lr", -1), ("batch_rotations", 0)])

@@ -1,3 +1,6 @@
+import inspect
+import weakref
+
 import numpy as np
 import pytest
 
@@ -406,7 +409,18 @@ def test_train_lr_zero_is_flat():
 @pytest.fixture(scope="module")
 def smoke_trials():
     cfg = small_cfg(head="all", epochs=10)
-    return {t.head: t for t in nn.train_experiment(cfg).trials}
+    return {t.head: t for t in nn.train_experiment(cfg)}
+
+
+def test_train_experiment_streams_and_frees_dropped_nets():
+    trials = nn.train_experiment(small_cfg(head=["quat", "A"], epochs=1, trials=2))
+    assert inspect.isgenerator(trials)
+    first = next(trials)
+    gone = weakref.ref(first.net)
+    del first
+    assert gone() is None
+    rest = [(t.head, t.trial) for t in trials]
+    assert rest == [("quat", 1), ("A", 0), ("A", 1)]
 
 
 def test_train_smoke_improves_10x(smoke_trials):
