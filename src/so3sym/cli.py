@@ -16,6 +16,7 @@ fresh wahba, avg or grad-check process starts without the training stack.
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -128,8 +129,12 @@ def cmd_wahba(args):
         raise InputError("provide exactly one of INPUT.csv or --synthetic")
     R_true = None
     if args.synthetic:
-        R_true, corr = sample_synthetic(SyntheticConfig(
-            num_matches=args.n, sigma=args.sigma, phi_max=np.deg2rad(args.phi_max_deg), seed=args.seed))
+        try:
+            R_true, corr = sample_synthetic(SyntheticConfig(
+                num_matches=args.n, sigma=args.sigma, phi_max=np.deg2rad(args.phi_max_deg), seed=args.seed))
+        except ValueError:  # below 1 the weights 1/sigma^2 overflow, above it the noise's squares
+            raise InputError(f"--sigma {args.sigma!r} is too {'small' if args.sigma < 1 else 'large'}: "
+                             f"the data matrix of {args.n} synthetic pairs overflows") from None
     else:
         corr = read_correspondences_csv(args.input)
         if len(corr) == 0:
@@ -176,10 +181,9 @@ def cmd_train(args):
     rows.sort(key=lambda r: (r.head, r.trial, r.epoch, r.split))
 
     csv_path = os.path.join(args.out, "results.csv")
-    _write_csv(csv_path, RESULTS_SCHEMA, ["trial", "seed", "lr", "epoch", "split", "head", "mean_deg",
-                                          "median_deg", "p10_deg", "p90_deg"],
-               [[r.trial, r.seed, repr(r.lr), r.epoch, r.split, r.head, repr(r.mean_deg),
-                 repr(r.median_deg), repr(r.p10_deg), repr(r.p90_deg)] for r in rows])
+    # csv writes an int or float with str, which is its repr: the fields as they are, in order.
+    _write_csv(csv_path, RESULTS_SCHEMA, [f.name for f in dataclasses.fields(nn.EpochRow)],
+               map(dataclasses.astuple, rows))
     print(f"wrote {csv_path} ({len(rows)} rows)")
     svg_path = os.path.join(args.out, "learning_curves.svg")
     svgplot.render_learning_curves(rows, svg_path)

@@ -531,11 +531,6 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
     return x, q_gt, R_gt
 
 
-def _angular_errors_deg(R, R_gt, valid):
-    errs = np.rad2deg(so3.d_ang(R, R_gt))
-    return errs[valid]
-
-
 def _stats_row(trial, seed, lr, epoch, split, head, errs_deg):
     errs = np.asarray(errs_deg, dtype=float)
     if errs.size == 0:
@@ -562,12 +557,17 @@ def _readout(net, head, x, where):
 def evaluate(net, head, x, R_gt, where):
     """Angular errors in degrees over the valid samples of a batch; a non-finite net output raises."""
     _, (_, R, _, valid) = _readout(net, head, x, where)
-    return _angular_errors_deg(R, R_gt, valid)
+    return np.rad2deg(so3.d_ang(R, R_gt))[valid]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence raises below, without warnings first
 def train_single(cfg, head, trial=0):
-    """Train one head for one trial; returns a TrialResult. Divergence raises FloatingPointError."""
+    """Train one head for one trial; returns a TrialResult. Divergence raises FloatingPointError.
+
+    Epoch 0 scores the untrained net on one training batch and on the test set, and steps
+    nothing. Each later epoch scores each of its batches_per_epoch batches before its step and
+    counts its degenerate samples; a batch with none valid skips its step. Each epoch gives a
+    train row, then a test row."""
     _check_head_loss(head, cfg.loss)
     lr = cfg.lr
     if lr is None:
@@ -575,33 +575,20 @@ def train_single(cfg, head, trial=0):
         lr = float(10.0 ** rng_for(cfg.seed, trial, _STREAM_LR).uniform(np.log10(lo), np.log10(hi)))
     net = init_net(layer_dims(cfg, head), rng_for(cfg.seed, trial, _STREAM_INIT))
     test_x, _, test_R = sample_batch(cfg, rng_for(cfg.seed, trial, _STREAM_TEST), cfg.test_rotations)
-
-    rows = []
-    degenerate = 0
-
-    def at(epoch, part):
-        return f"training diverged at head {head}, trial {trial}, epoch {epoch}, {part}"
-
-    def test_row(epoch):
-        errs = evaluate(net, head, test_x, test_R, at(epoch, "test set"))
-        rows.append(_stats_row(trial, cfg.seed, lr, epoch, "test", head, errs))
-
-    # Epoch-0 baseline: untrained test row plus one untouched training batch.
-    base_x, _, base_R = sample_batch(cfg, rng_for(cfg.seed, trial, _STREAM_TRAIN, 0, 0), cfg.batch_rotations)
-    errs0 = evaluate(net, head, base_x, base_R, at(0, "batch 0"))
-    rows.append(_stats_row(trial, cfg.seed, lr, 0, "train", head, errs0))
-    test_row(0)
-
     state = adam_init(net.params(), lr)
-    for epoch in range(1, cfg.epochs + 1):
+    rows, degenerate = [], 0
+    for epoch in range(cfg.epochs + 1):
+        at = f"training diverged at head {head}, trial {trial}, epoch {epoch}"
         epoch_errs = []
-        for batch in range(cfg.batches_per_epoch):
+        for batch in range(cfg.batches_per_epoch if epoch else 1):
             rng = rng_for(cfg.seed, trial, _STREAM_TRAIN, epoch, batch)
             x, q_gt, R_gt = sample_batch(cfg, rng, cfg.batch_rotations)
-            cache, (q, R, aux, valid) = _readout(net, head, x, at(epoch, f"batch {batch}"))
+            cache, (q, R, aux, valid) = _readout(net, head, x, f"{at}, batch {batch}")
+            epoch_errs.append(np.rad2deg(so3.d_ang(R, R_gt))[valid])
+            if not epoch:
+                continue
             n_valid = int(valid.sum())
-            degenerate += int((~valid).sum())
-            epoch_errs.append(_angular_errors_deg(R, R_gt, valid))
+            degenerate += valid.size - n_valid
             if n_valid == 0:
                 continue
             loss, gq, gR = loss_eval(cfg.loss, q, R, q_gt, R_gt)
@@ -615,9 +602,9 @@ def train_single(cfg, head, trial=0):
             grad_raw = np.where(valid[..., None], grad_raw, 0.0)
             grads = backward(net, cache, grad_raw)
             net.set_params(adam_step(state, net.params(), [g for dW_db in grads for g in dW_db]))
-        rows.append(_stats_row(trial, cfg.seed, lr, epoch, "train", head,
-                               np.concatenate(epoch_errs) if epoch_errs else []))
-        test_row(epoch)
+        rows.append(_stats_row(trial, cfg.seed, lr, epoch, "train", head, np.concatenate(epoch_errs)))
+        rows.append(_stats_row(trial, cfg.seed, lr, epoch, "test", head,
+                               evaluate(net, head, test_x, test_R, f"{at}, test set")))
     return TrialResult(head=head, trial=trial, rows=rows, net=net, degenerate_count=degenerate)
 
 

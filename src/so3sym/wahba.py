@@ -51,7 +51,7 @@ class Correspondences:
             raise ValueError("u, v and sigma must be finite")
         if np.any(sigma <= 0):
             raise ValueError("all sigma must be > 0")
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             w = 1.0 / (sigma * sigma)
             if not np.isfinite(w).all():
                 raise ValueError("every weight 1/sigma^2 must be finite")
@@ -150,6 +150,7 @@ def sample_rotations(n, phi_max, rng):
     return exp_map(phi[:, None] * a), canonicalize_quat(q)
 
 
+@np.errstate(over="ignore")  # noise that overflows fails Correspondences' checks, without warnings first
 def sample_synthetic(cfg):
     """Draw (R_hat, correspondences) from the generative model.
 

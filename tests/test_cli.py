@@ -14,7 +14,7 @@ import pytest
 from so3sym import averaging, bingham, cli, nn, so3, symrep, wahba
 from so3sym.wahba import SyntheticConfig
 
-from util import kabsch, write_model, write_model_with_bare_header
+from util import kabsch, write_model, write_model_with_bare_header, zero_initial_nets
 
 
 def run(capsys, *argv):
@@ -66,7 +66,12 @@ def test_grad_check_deterministic_report(capsys):
     (["wahba", "--synthetic", "--phi-max-deg", "0"], "--phi-max-deg"),
     (["dt-eval", "model.npz", "--q", "0"], "--q"),
     (["dt-eval", "model.npz", "--mix", "0"], "--mix"),
-], ids=["count-0", "count-neg", "n-0", "sigma-neg", "phi-max-0", "q-0", "mix-0"])
+    (["wahba", "--synthetic", "--sigma", "1e-80"], "--sigma 1e-80"),
+    (["wahba", "--synthetic", "--sigma", "1e-200"], "--sigma 1e-200"),
+    (["wahba", "--synthetic", "--sigma", "1e154"], "--sigma 1e+154"),
+    (["wahba", "--synthetic", "--sigma", "1e200"], "--sigma 1e+200"),
+], ids=["count-0", "count-neg", "n-0", "sigma-neg", "phi-max-0", "q-0", "mix-0", "sigma-1e-80",
+        "sigma-1e-200", "sigma-1e154", "sigma-1e200"])
 def test_out_of_range_flag_exits_2(capsys, argv, flag):
     try:
         code = cli.main(argv)
@@ -241,6 +246,10 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
      "--mix 1394 is over 1393 for a model of per-sample width 6266"),
     ({"m.npz": _model_npz()}, _DT_EVAL + ["--mix", "1", "--corruption", "noise"], 2,
      "--mix 1 holds no corrupted sample"),
+    ({}, ["wahba", "--synthetic", "--sigma", "1e-200"], 2,
+     "error: --sigma 1e-200 is too small: the data matrix of 100 synthetic pairs overflows"),
+    ({}, ["wahba", "--synthetic", "--sigma", "1e200"], 2,
+     "error: --sigma 1e+200 is too large: the data matrix of 100 synthetic pairs overflows"),
 ], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
         "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
         "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
@@ -248,7 +257,8 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
         "model-activation-pattern", "model-complex", "model-oversized-header", "wahba-empty", "phi-max-200",
         "matches-over-bound", "width-over-bound", "avg-weight-1e160", "avg-weight-1e308",
         "dt-eval-output-overflow", "count-over-bound", "n-over-bound", "mix-over-bound",
-        "layers-over-bound", "mix-over-model-bound", "mix-without-corrupted"])
+        "layers-over-bound", "mix-over-model-bound", "mix-without-corrupted", "synthetic-sigma-small",
+        "synthetic-sigma-large"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
@@ -436,6 +446,19 @@ def test_train_epochs_zero_baseline_only(tmp_path, capsys):
     lines = (out_dir / "results.csv").read_text().splitlines()
     rows = [l.split(",") for l in lines[2:]]
     assert rows and all(r[3] == "0" for r in rows)
+
+
+def test_train_reports_degenerate_training_samples(tmp_path, capsys, monkeypatch):
+    """With every sample degenerate, the line counts the training batches of epochs 1 and 2
+    (the epoch-0 batch is scored, not counted), and each statistic is nan."""
+    zero_initial_nets(monkeypatch)
+    cfg = write_cfg(tmp_path, head="A", epochs=2, trials=2, batches_per_epoch=3, batch_rotations=20)
+    code, out, _ = run(capsys, "--out", tmp_path / "out", "train", cfg)
+    assert code == 0
+    # 2 trials x 2 epochs x 3 batches x 20 rotations
+    assert out.splitlines()[-1] == "degenerate training samples skipped: 240"
+    rows = [l.split(",") for l in (tmp_path / "out" / "results.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 2 * 2 * 3 and all(r[6:] == ["nan"] * 4 for r in rows)
 
 
 def test_train_rerun_identical(tmp_path, capsys):

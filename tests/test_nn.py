@@ -7,7 +7,8 @@ import pytest
 from so3sym import nn, so3, symrep
 
 from util import (adam_step_reference, backward_reference, forward_reference, is_rotation,
-                  random_rotations, sample_batch_reference, write_model, write_model_with_bare_header)
+                  random_rotations, sample_batch_reference, write_model, write_model_with_bare_header,
+                  zero_initial_nets)
 
 
 # -- dense net ----------------------------------------------------------------
@@ -462,6 +463,24 @@ def test_degenerate_batch_samples_are_masked():
     q, R, dec, valid = nn.head_forward("A", raws)
     assert not valid[0] and valid[1]
     assert np.allclose(q[1], [1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("head", ["A", "quat"])
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_all_degenerate_training_counts_later_epochs_and_never_steps(monkeypatch, head, epochs):
+    """Epoch 0 scores one batch and counts none of it; each batch of a later epoch counts all
+    its samples degenerate and, with none valid, skips its step."""
+    zero_initial_nets(monkeypatch)
+    steps = []
+    monkeypatch.setattr(nn, "adam_step", lambda state, params, grads: steps.append(grads) or params)
+    cfg = small_cfg(head=head, epochs=epochs, batches_per_epoch=3, batch_rotations=7,
+                    test_rotations=5)
+    trial = nn.train_single(cfg, head)
+    assert trial.degenerate_count == epochs * cfg.batches_per_epoch * cfg.batch_rotations
+    assert steps == [] and all(not p.any() for p in trial.net.params())
+    assert [(r.epoch, r.split) for r in trial.rows] == [
+        (e, split) for e in range(epochs + 1) for split in ("train", "test")]
+    assert all(np.isnan([r.mean_deg, r.median_deg, r.p10_deg, r.p90_deg]).all() for r in trial.rows)
 
 
 def test_quat_loss_rejected_for_sixd_head():

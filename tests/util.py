@@ -6,7 +6,7 @@ import zipfile
 
 import numpy as np
 
-from so3sym import so3
+from so3sym import nn, so3
 
 
 def random_rotations(n, rng):
@@ -286,3 +286,16 @@ def write_model_with_bare_header(path, net, head, cfg, member, shape):
         with out.open(f"{member}.npy", "w") as fh:
             np.lib.format.write_array_header_1_0(
                 fh, {"descr": "<f8", "fortran_order": False, "shape": tuple(shape)})
+
+
+def zero_initial_nets(monkeypatch):
+    """Make every net that training builds start with all weights and biases zero: the heads
+    quat, 6d and A then read a zero input, which each reports degenerate for every sample."""
+    init_net = nn.init_net
+
+    def zero_net(dims, rng):
+        net = init_net(dims, rng)
+        for p in net.params():
+            p[...] = 0.0
+        return net
+    monkeypatch.setattr(nn, "init_net", zero_net)
