@@ -13,7 +13,7 @@ Most functions broadcast over leading batch dimensions: quaternions are
 
 import numpy as np
 
-# Below this rotation angle, exp/log switch to second-order Taylor branches.
+# Below this rotation angle, exp_map switches to second-order Taylor branches.
 SMALL_ANGLE = 1e-7
 
 
@@ -119,38 +119,21 @@ def quat_to_rot(q):
 def rot_to_quat(R):
     """3x3 rotation matrix -> canonical-sign unit quaternion.
 
-    Shepperd's method: per sample, the construction pivots on the largest
-    of (trace, R00, R11, R22) to avoid cancellation.
+    K(R) = 4 q q^T is linear in R, and I - K(R)/4 is symrep.smooth_section(q).
+    The column of its largest diagonal entry (Shepperd's pivot) is 4 q_pivot q.
     """
     R = _as_farray(R, "rotation", (3, 3))
-    m00, m11, m22 = R[..., 0, 0], R[..., 1, 1], R[..., 2, 2]
-    tr = m00 + m11 + m22
-
-    # Candidate squared pivots 4*w^2, 4*x^2, 4*y^2, 4*z^2 (may be <= 0 off-pivot).
-    tw = 1.0 + tr
-    tx = 1.0 + m00 - m11 - m22
-    ty = 1.0 - m00 + m11 - m22
-    tz = 1.0 - m00 - m11 + m22
-
-    r01, r02, r10 = R[..., 0, 1], R[..., 0, 2], R[..., 1, 0]
-    r12, r20, r21 = R[..., 1, 2], R[..., 2, 0], R[..., 2, 1]
-
-    def build(t, a, b, c, order):
-        s = np.sqrt(np.maximum(t, 0.0)) * 2.0  # 4*pivot
-        s_safe = np.where(s > 0, s, 1.0)
-        comps = {order[0]: 0.25 * s, order[1]: a / s_safe,
-                 order[2]: b / s_safe, order[3]: c / s_safe}
-        return np.stack([comps["x"], comps["y"], comps["z"], comps["w"]], axis=-1)
-
-    q_w = build(tw, r21 - r12, r02 - r20, r10 - r01, ("w", "x", "y", "z"))
-    q_x = build(tx, r21 - r12, r01 + r10, r02 + r20, ("x", "w", "y", "z"))
-    q_y = build(ty, r02 - r20, r01 + r10, r12 + r21, ("y", "w", "x", "z"))
-    q_z = build(tz, r10 - r01, r02 + r20, r12 + r21, ("z", "w", "x", "y"))
-
-    choice = np.argmax(np.stack([tw, tx, ty, tz], axis=-1), axis=-1)
-    cands = np.stack([q_w, q_x, q_y, q_z], axis=-2)  # (..., 4 candidates, 4)
-    out = np.take_along_axis(cands, choice[..., None, None], axis=-2)[..., 0, :]
-    return canonicalize_quat(normalize_quat(out))
+    a, b, c, d, e, f, g, h, i = [R[..., j // 3, j % 3] for j in range(9)]
+    rows = [
+        [1 + a - e - i, b + d, c + g, h - f],
+        [b + d, 1 - a + e - i, f + h, c - g],
+        [c + g, f + h, 1 - a - e + i, d - b],
+        [h - f, c - g, d - b, 1 + a + e + i],
+    ]
+    K = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    pivot = np.argmax(np.diagonal(K, axis1=-2, axis2=-1), axis=-1)
+    q = np.take_along_axis(K, pivot[..., None, None], axis=-2)[..., 0, :]
+    return canonicalize_quat(normalize_quat(q))
 
 
 def skew(v):
@@ -189,47 +172,13 @@ def _vee(M):
 def log_map(R):
     """Rotation matrix -> axis-angle vector with magnitude in [0, pi].
 
-    Angle via atan2(|skew part|/2, (tr-1)/2), accurate at both ends of the
-    range. Near pi the axis is recovered from the dominant diagonal of
-    (R + I)/2 and sign-matched to the skew part when that is informative.
+    The quaternion log of q = rot_to_quat(R): angle 2 atan2(|q_xyz|, q_w),
+    accurate at both ends of the range, along q_xyz. The axis sign is
+    canonicalize_quat's rule, so at pi it is first-nonzero-positive.
     """
-    R = _as_farray(R, "rotation", (3, 3))
-    v = 0.5 * _vee(R)  # sin(theta) * axis
-    s = np.linalg.norm(v, axis=-1)
-    c = 0.5 * (R[..., 0, 0] + R[..., 1, 1] + R[..., 2, 2] - 1.0)
-    theta = np.arctan2(s, c)
-
-    small = theta < SMALL_ANGLE
-    near_pi = theta > np.pi - 1e-4
-
-    # Generic branch: axis = v / sin(theta).
-    s_safe = np.where(s > 0, s, 1.0)
-    axis_mid = v / s_safe[..., None]
-
-    # Small branch: phi = v * (1 + theta^2/6) to second order.
-    phi_small = v * (1.0 + theta * theta / 6.0)[..., None]
-
-    # Near-pi branch: the symmetric part (R + R^T)/2 - cos(theta) I equals
-    # (1 - cos(theta)) n n^T with no skew contamination; take the column with
-    # the largest diagonal entry (it always has norm >= (1-cos)/sqrt(3)),
-    # then sign-match against v (falls back to canonical
-    # first-nonzero-positive when v carries no signal).
-    B = 0.5 * (R + np.swapaxes(R, -1, -2)) - c[..., None, None] * np.eye(3)
-    diag = np.stack([B[..., 0, 0], B[..., 1, 1], B[..., 2, 2]], axis=-1)
-    col = np.argmax(diag, axis=-1)
-    axis_pi = np.take_along_axis(B, col[..., None, None], axis=-1)[..., 0]
-    norm_pi = np.linalg.norm(axis_pi, axis=-1, keepdims=True)
-    axis_pi = axis_pi / np.where(norm_pi > 0, norm_pi, 1.0)
-    dot = np.sum(axis_pi * v, axis=-1)
-    x, y, z = axis_pi[..., 0], axis_pi[..., 1], axis_pi[..., 2]
-    canon = np.select([x != 0, y != 0, z != 0], [np.sign(x), np.sign(y), np.sign(z)], 1.0)
-    sign = np.where(np.abs(dot) > 1e-12, np.sign(dot), canon)
-    axis_pi = axis_pi * sign[..., None]
-
-    phi = np.where(small[..., None], phi_small,
-                   np.where(near_pi[..., None], axis_pi * theta[..., None],
-                            axis_mid * theta[..., None]))
-    return phi
+    q = rot_to_quat(R)
+    s = np.linalg.norm(q[..., :3], axis=-1)
+    return q[..., :3] * (2.0 * np.arctan2(s, q[..., 3]) / np.where(s > 0, s, 1.0))[..., None]
 
 
 def d_quat(q, q_gt):

@@ -56,8 +56,12 @@ class Correspondences:
             if not np.isfinite(w).all():
                 raise ValueError("every weight 1/sigma^2 must be finite")
             # The data matrix's 16 entries are at most 2 s in size; its readout squares them.
-            s = float(w @ np.sum(u * u + v * v, axis=-1))
+            sq = np.sum(u * u + v * v, axis=-1)
+            s = float(w @ sq)
         if not 64.0 * s * s < math.inf:
+            bad = np.flatnonzero(~np.isfinite(sq))
+            if len(bad):
+                raise ValueError(f"|u[{bad[0]}]|^2 + |v[{bad[0]}]|^2 overflows; scale u and v down")
             raise ValueError(f"data-matrix scale sum w (|u|^2 + |v|^2) = {s:.3g} "
                              "overflows; scale sigma up")
         object.__setattr__(self, "u", u)
@@ -229,17 +233,19 @@ def _read_csv_table(path, headers, row_problem):
     return header, rows
 
 
-def _sigma_problem(vals):
+def _pair_problem(vals):
     sigma = vals[6]
     if sigma <= 0:
         return f"sigma must be > 0, got {sigma}"
     if sigma * sigma == 0.0 or not math.isfinite(1.0 / (sigma * sigma)):
         return f"sigma {sigma} is too small: weight 1/sigma^2 is not finite"
+    if not math.isfinite(sum(a * a + b * b for a, b in zip(vals[:3], vals[3:6]))):
+        return "|u|^2 + |v|^2 overflows; scale u and v down"
 
 
 def read_correspondences_csv(path):
     """Parse a correspondence CSV (header ux,uy,uz,vx,vy,vz,sigma)."""
-    _, rows = _read_csv_table(path, [CSV_FIELDS], _sigma_problem)
+    _, rows = _read_csv_table(path, [CSV_FIELDS], _pair_problem)
     data = np.array(rows, dtype=float).reshape(-1, 7)
     try:
         return Correspondences(u=data[:, 0:3], v=data[:, 3:6], sigma=data[:, 6])

@@ -82,6 +82,7 @@ def test_out_of_range_flag_exits_2(capsys, argv, flag):
 
 
 _PAIRS = "ux,uy,uz,vx,vy,vz,sigma\n1,0,0,1,0,0,1\n"
+_HUGE_PAIR = "1e160,0,0,1e160,0,0,{}\n"  # |u|^2 + |v|^2 overflows; no sigma can help
 _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"
 
 
@@ -250,6 +251,10 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
      "error: --sigma 1e-200 is too small: the data matrix of 100 synthetic pairs overflows"),
     ({}, ["wahba", "--synthetic", "--sigma", "1e200"], 2,
      "error: --sigma 1e+200 is too large: the data matrix of 100 synthetic pairs overflows"),
+    ({"pairs.csv": _PAIRS + _HUGE_PAIR.format(1)}, ["wahba", "{d}/pairs.csv"], 2,
+     "pairs.csv: line 3: |u|^2 + |v|^2 overflows; scale u and v down"),
+    ({"pairs.csv": _PAIRS + _HUGE_PAIR.format(1e200)}, ["wahba", "{d}/pairs.csv"], 2,
+     "pairs.csv: line 3: |u|^2 + |v|^2 overflows; scale u and v down"),
 ], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
         "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
         "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
@@ -258,7 +263,7 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
         "matches-over-bound", "width-over-bound", "avg-weight-1e160", "avg-weight-1e308",
         "dt-eval-output-overflow", "count-over-bound", "n-over-bound", "mix-over-bound",
         "layers-over-bound", "mix-over-model-bound", "mix-without-corrupted", "synthetic-sigma-small",
-        "synthetic-sigma-large"])
+        "synthetic-sigma-large", "pair-overflow-sigma-1", "pair-overflow-sigma-1e200"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())

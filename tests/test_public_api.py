@@ -25,7 +25,6 @@ SRC = ROOT / "src" / "so3sym"
 LIBRARY_API = {
     "so3.hamilton": "quaternion product, the convention quat_left/right_matrix encode",
     "so3.quat_conj": "quaternion inverse, the other half of that convention",
-    "so3.rot_to_quat": "matrix -> canonical quaternion, the inverse of quat_to_rot",
     "so3.log_map": "axis-angle of a rotation, the inverse of exp_map",
     "so3.random_quats": "uniform rotations on S^3",
     "symrep.smooth_section": "smoothness claim: the smooth global right-inverse q -> I - q q^T",

@@ -93,6 +93,38 @@ def test_log_map_vs_quaternion_path():
     assert np.abs(so3.log_map(R) - theta[:, None] * axis).max() < 1e-9
 
 
+@pytest.mark.parametrize("delta", [1e-12, 1e-14, 0.0])
+def test_log_map_inverts_exp_map_near_pi(delta):
+    # The axis follows the skew part through w > 0, so even 1e-12 from pi R comes back.
+    rng = np.random.default_rng(12)
+    axis = rng.standard_normal((2000, 3))
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    R = so3.exp_map(axis * (np.pi - delta))
+    assert np.abs(so3.exp_map(so3.log_map(R)) - R).max() <= 1e-14
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1e-8, 1e-12, 1e-20])
+def test_rot_to_quat_small_angles_have_relative_accuracy(theta):
+    # An eigen-based readout is accurate only to ~1e-16 absolute, which is all of q_xyz here.
+    rng = np.random.default_rng(13)
+    axis = rng.standard_normal((500, 3))
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    q = so3.rot_to_quat(so3.exp_map(theta * axis))
+    exact = np.sin(0.5 * theta) * axis
+    rel = np.linalg.norm(q[:, :3] - exact, axis=-1) / np.linalg.norm(exact, axis=-1)
+    assert rel.max() <= 2e-15
+
+
+def test_half_turns_take_the_canonical_axis():
+    n = np.array([[1, 0, 0], [-1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 1, -1], [0, -1, 1],
+                  [-1, 2, -2], [3, -4, 0], [1, -1, 1], [-2, -1, 3]], dtype=float)
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    R = 2.0 * n[:, :, None] * n[:, None, :] - np.eye(3)
+    want = so3.canonicalize_quat(np.concatenate([n, np.zeros((len(n), 1))], axis=-1))
+    assert np.abs(so3.rot_to_quat(R) - want).max() <= 1e-15
+    assert np.abs(so3.log_map(R) - np.pi * want[:, :3]).max() <= 4e-15  # pi times that, rounded
+
+
 def test_d_quat_basics():
     rng = np.random.default_rng(8)
     q = so3.random_quats(100, rng)

@@ -97,6 +97,15 @@ def test_correspondences_reject_overflowing_data_matrix():
         Correspondences(u=np.eye(3), v=np.eye(3), sigma=[1.0, 1e-154, 1.0])
 
 
+@pytest.mark.parametrize("sigma", [1.0, 1e200])
+def test_correspondences_name_the_pair_whose_squares_overflow(sigma):
+    u = np.array([[1.0, 0, 0], [0, 1, 0], [1e160, 0, 0]])
+    with pytest.raises(ValueError, match=r"^\|u\[2\]\|\^2 \+ \|v\[2\]\|\^2 overflows; "
+                                         r"scale u and v down$") as exc:
+        Correspondences(u=u, v=u, sigma=[1.0, 1.0, sigma])
+    assert "sigma" not in str(exc.value)
+
+
 def test_large_accepted_weights_solve_like_unit_weights():
     _, corr = wahba.sample_synthetic(SyntheticConfig(num_matches=20, sigma=0.01, phi_max=2.0, seed=5))
     heavy = Correspondences(u=corr.u, v=corr.v, sigma=np.full(20, 1e-75))
