@@ -153,17 +153,23 @@ def _grad_R_to_grad_q(q, grad_R):
     return out
 
 
+def _unit(v):
+    """(v / n, n, valid) over the last axis: valid is n >= 1e-9, and n is 1.0 where it is not."""
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    valid = n[..., 0] >= 1e-9
+    n[~valid] = 1.0
+    return v / n, n, valid
+
+
+def _unit_backward(u, n, g):
+    # d(v/||v||) = (I - u u^T) / ||v||, with u and the safe norm n from _unit
+    return (g - u * np.sum(u * g, axis=-1, keepdims=True)) / n
+
+
 def _quat_head_forward(raw):
-    n = np.linalg.norm(raw, axis=-1)
-    valid = n > 1e-9
-    n = np.where(valid, n, 1.0)[..., None]
-    q = np.where(valid[..., None], raw / n, np.array([0.0, 0.0, 0.0, 1.0]))
+    q, n, valid = _unit(raw)
+    q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
     return q, so3.quat_to_rot(q), n, valid
-
-
-def _quat_head_backward(q, n, grad_q):
-    # d(y/||y||) = (I - q q^T) / ||y||, with q and the safe norm n from the forward
-    return (grad_q - q * np.sum(q * grad_q, axis=-1, keepdims=True)) / n
 
 
 def _sixd_head_forward(raw):
@@ -171,20 +177,13 @@ def _sixd_head_forward(raw):
 
     R's columns are b1 = a1/n1, b2 = u2/n2 with u2 = a2 - p b1 and p = b1 . a2, and
     b1 x b2; frame = (a2, b1, b2, n1, n2, p) is what the backward reads. valid is
-    False where n1 or n2 is below 1e-9; the norm is 1.0 and R the identity there.
+    False where n1 or n2 is below 1e-9; R is the identity there.
     """
     a1, a2 = raw[:, :3], raw[:, 3:]
-    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
-    valid = n1 >= 1e-9
-    n1[~valid] = 1.0
-    b1 = a1 / n1
+    b1, n1, valid1 = _unit(a1)
     p = np.sum(b1 * a2, axis=-1, keepdims=True)
-    u2 = a2 - p * b1
-    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
-    valid &= n2 >= 1e-9
-    n2[~valid] = 1.0
-    b2 = u2 / n2
-    valid = valid[:, 0]
+    b2, n2, valid2 = _unit(a2 - p * b1)
+    valid = valid1 & valid2
     R = np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
     return np.where(valid[:, None, None], R, np.eye(3)), (a2, b1, b2, n1, n2, p), valid
 
@@ -197,13 +196,11 @@ def _sixd_head_backward(frame, grad_R):
     # b3 = b1 x b2: <g3, db1 x b2> = <b2 x g3, db1>, <g3, b1 x db2> = <g3 x b1, db2>
     gb1 = g1 + np.cross(b2, g3)
     gb2 = g2 + np.cross(g3, b1)
-    # b2 = u2/||u2||
-    gu2 = (gb2 - b2 * np.sum(b2 * gb2, axis=-1, keepdims=True)) / n2
+    gu2 = _unit_backward(b2, n2, gb2)
     # u2 = a2 - (b1.a2) b1
     ga2 = gu2 - b1 * np.sum(b1 * gu2, axis=-1, keepdims=True)
     gb1 = gb1 - a2 * np.sum(b1 * gu2, axis=-1, keepdims=True) - p * gu2
-    # b1 = a1/||a1||
-    ga1 = (gb1 - b1 * np.sum(b1 * gb1, axis=-1, keepdims=True)) / n1
+    ga1 = _unit_backward(b1, n1, gb1)
     return np.concatenate([ga1, ga2], axis=-1)
 
 
@@ -241,7 +238,7 @@ def head_backward(head, q, aux, grad_q, grad_R):
         extra = _grad_R_to_grad_q(q, grad_R)
         grad_q = extra if grad_q is None else grad_q + extra
     if head == "quat":
-        return _quat_head_backward(q, aux, grad_q)
+        return _unit_backward(q, aux, grad_q)
     if head == "6d":
         return _sixd_head_backward(aux, grad_R)
     if head == "A":

@@ -16,6 +16,8 @@ import numpy as np
 # Below this rotation angle, exp_map switches to second-order Taylor branches.
 SMALL_ANGLE = 1e-7
 
+_EYE4 = np.eye(4)
+
 
 def _as_farray(x, name, last_dims):
     a = np.asarray(x, dtype=float)
@@ -71,29 +73,15 @@ def quat_conj(q):
 
 
 def quat_left_matrix(q):
-    """4x4 matrix M_l(q1) with M_l(q1) @ q2 = q1 * q2. Any 4-vector allowed."""
+    """4x4 matrix M_l(q1) with M_l(q1) @ q2 = q1 * q2, for finite q; column k is q1 * e_k."""
     q = _as_farray(q, "quaternion", (4,))
-    x, y, z, w = (q[..., i] for i in range(4))
-    rows = [
-        [w, -z, y, x],
-        [z, w, -x, y],
-        [-y, x, w, z],
-        [-x, -y, -z, w],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return np.swapaxes(hamilton(q[..., None, :], _EYE4), -1, -2)
 
 
 def quat_right_matrix(q):
-    """4x4 matrix M_r(q2) with M_r(q2) @ q1 = q1 * q2. Any 4-vector allowed."""
+    """4x4 matrix M_r(q2) with M_r(q2) @ q1 = q1 * q2, for finite q; column k is e_k * q2."""
     q = _as_farray(q, "quaternion", (4,))
-    x, y, z, w = (q[..., i] for i in range(4))
-    rows = [
-        [w, z, -y, x],
-        [-z, w, x, y],
-        [y, -x, w, z],
-        [-x, -y, -z, w],
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return np.swapaxes(hamilton(_EYE4, q[..., None, :]), -1, -2)
 
 
 def quat_to_rot(q):

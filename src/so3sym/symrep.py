@@ -26,8 +26,7 @@ import numpy as np
 from .so3 import canonicalize_quat
 
 # (row, col) of the upper triangle addressed by each theta entry, row-major.
-_THETA_POS = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
-_ROWS, _COLS = np.array(_THETA_POS).T
+_ROWS, _COLS = np.triu_indices(4)
 
 DEFAULT_GAP_TOL = 1e-8
 

@@ -135,6 +135,11 @@ def test_quat_mean_empty():
         averaging.quat_mean(np.zeros((0, 4)))
 
 
+def test_inertia_matrix_rejects_negative_weights():
+    with pytest.raises(ValueError, match="weights must be >= 0"):
+        averaging.inertia_matrix([[0, 0, 0, 1.0], [1.0, 0, 0, 0]], [1.0, -1.0])
+
+
 @pytest.mark.parametrize("big", [1e160, 1e308])
 def test_chordal_mean_rejects_weights_that_overflow_the_inertia_matrix(big):
     with warnings.catch_warnings():

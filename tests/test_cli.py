@@ -255,6 +255,13 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
      "pairs.csv: line 3: |u|^2 + |v|^2 overflows; scale u and v down"),
     ({"pairs.csv": _PAIRS + _HUGE_PAIR.format(1e200)}, ["wahba", "{d}/pairs.csv"], 2,
      "pairs.csv: line 3: |u|^2 + |v|^2 overflows; scale u and v down"),
+    ({"q.csv": "x,y,z,w\n"}, ["avg", "{d}/q.csv"], 2, "q.csv: no quaternions"),
+    ({"pairs.csv": "# a comment only\n"}, ["wahba", "{d}/pairs.csv"], 2, "line 1: missing header row"),
+    ({"pairs.csv": "ux,uy,uz,vx,vy,vz,sigma\n1,0,0,1,0,0,0\n"}, ["wahba", "{d}/pairs.csv"], 2,
+     "line 2: sigma must be > 0"),
+    ({"pairs.csv": "ux,uy,uz,vx,vy,vz,sigma\n1,0,0,1,0,0,-1\n"}, ["wahba", "{d}/pairs.csv"], 2,
+     "line 2: sigma must be > 0"),
+    ({"cfg.json": '{"epoch": 3}'}, _TRAIN, 2, "unknown config keys: ['epoch']"),
 ], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
         "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
         "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
@@ -263,7 +270,8 @@ _QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows
         "matches-over-bound", "width-over-bound", "avg-weight-1e160", "avg-weight-1e308",
         "dt-eval-output-overflow", "count-over-bound", "n-over-bound", "mix-over-bound",
         "layers-over-bound", "mix-over-model-bound", "mix-without-corrupted", "synthetic-sigma-small",
-        "synthetic-sigma-large", "pair-overflow-sigma-1", "pair-overflow-sigma-1e200"])
+        "synthetic-sigma-large", "pair-overflow-sigma-1", "pair-overflow-sigma-1e200", "avg-empty",
+        "wahba-comment-only", "sigma-zero", "sigma-negative", "config-unknown-key"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())

@@ -71,6 +71,13 @@ def test_quat_head_zero_is_invalid():
     assert np.array_equal(R[0], np.eye(3))
 
 
+@pytest.mark.parametrize("head, tail", [("quat", [0, 0, 0]), ("6d", [0, 0, 0, 1, 0])])
+def test_heads_draw_the_degenerate_line_at_norm_1e_9(head, tail):
+    # One rule for both heads: a norm of exactly 1e-9 is valid, the next float down is not.
+    rows = [[x] + tail for x in (1e-9, np.nextafter(1e-9, 0))]
+    assert nn.head_forward(head, rows)[-1].tolist() == [True, False]
+
+
 def test_sym_head_at_section_point():
     rng = np.random.default_rng(4)
     q = so3.random_quats(1, rng)

@@ -23,7 +23,6 @@ SRC = ROOT / "src" / "so3sym"
 
 # Public names nothing in src/ or benchmarks/ calls, kept as library API.
 LIBRARY_API = {
-    "so3.hamilton": "quaternion product, the convention quat_left/right_matrix encode",
     "so3.quat_conj": "quaternion inverse, the other half of that convention",
     "so3.log_map": "axis-angle of a rotation, the inverse of exp_map",
     "so3.random_quats": "uniform rotations on S^3",

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,15 @@ def test_product_matrices_conjugation():
     assert np.abs(via_mats - conj).max() < 1e-12
     Ru = np.einsum("bij,bj->bi", so3.quat_to_rot(q), u)
     assert np.abs(conj[:, :3] - Ru).max() < 1e-12
+
+
+def test_product_matrices_are_hamilton_on_the_basis():
+    # Bit for bit, signed zeros included: column k of M_l(q) is q * e_k, of M_r(q) is e_k * q.
+    q = np.array(list(itertools.product([0.0, -0.0, 1.0, -2.5], repeat=4)))
+    left, right = so3.quat_left_matrix(q), so3.quat_right_matrix(q)
+    for k, e_k in enumerate(np.eye(4)):
+        assert left[..., :, k].tobytes() == so3.hamilton(q, e_k).tobytes()
+        assert right[..., :, k].tobytes() == so3.hamilton(e_k, q).tobytes()
 
 
 def test_canonicalize_quat_rules():
