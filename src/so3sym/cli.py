@@ -44,9 +44,9 @@ DT_SCHEMA = "# so3sym-dt v1"
 # grad-check draws matrices whose eigengap is at least this times max(1, ||A||_F).
 GRAD_CHECK_MIN_REL_GAP = 1e-2
 
-# dt-eval holds (1000 reference + --mix) samples, each as wide as the model's input plus its
-# layer widths; this bound on their product keeps a run under 200 MB of memory, both with the
-# default config and with matches_per_rotation 1000.
+# dt-eval holds (nn.DT_REFERENCE reference + --mix) samples, each as wide as the model's input
+# plus its layer widths; this bound on their product keeps a run under 200 MB of memory, both
+# with the default config and with matches_per_rotation 1000.
 DT_EVAL_BUDGET = 15_000_000
 
 
@@ -70,16 +70,17 @@ def run_grad_check(count=1000, seed=0, tolerance=1e-5, self_test=False):
     """
     rng = rng_for(seed, 101)
     step = 1e-5
-    # Keep the filter's readout and decomposition of every kept matrix: symeig4
-    # is per-matrix deterministic, so they equal a fresh decomposition of A.
+    # Keep the filter's decomposition of every kept matrix: symeig4 is per-matrix
+    # deterministic, so it equals a fresh decomposition of A.
     parts = []
     while sum(len(p[0]) for p in parts) < count:
         batch = rng.standard_normal((max(64, count), 4, 4))
         batch = 0.5 * (batch + np.swapaxes(batch, -1, -2))
-        q, dec, keep = qcqp_forward(batch, gap_tol=GRAD_CHECK_MIN_REL_GAP)
-        parts.append((batch[keep], q[keep], dec.lambdas[keep], dec.vectors[keep]))
-    A, q0, lam0, vec0 = (np.concatenate(col)[:count] for col in zip(*parts))
+        _, dec, keep = qcqp_forward(batch, gap_tol=GRAD_CHECK_MIN_REL_GAP)
+        parts.append((batch[keep], dec.lambdas[keep], dec.vectors[keep]))
+    A, lam0, vec0 = (np.concatenate(col)[:count] for col in zip(*parts))
     dec0 = EigenDecomp4(lam0, vec0)
+    q0 = vec0[..., 0]  # qcqp_forward's q*: column 0 of the decomposition
 
     J = qcqp_jacobian_theta(A, dec0)
     if self_test:
@@ -141,7 +142,7 @@ def cmd_wahba(args):
             raise InputError(f"{args.input}: no correspondences")
     q, dec = qcqp_solve(build_data_matrix(corr))
     print(f"pairs: {len(corr)}")
-    print(f"q_star: {_fmt(q[0])} {_fmt(q[1])} {_fmt(q[2])} {_fmt(q[3])}")
+    print(f"q_star: {' '.join(map(_fmt, q))}")
     print(f"eigengap: {_fmt(dec.eigengap)}")
     print(f"dispersion_trace: {_fmt(dec.dispersion_trace)}")
     if R_true is not None:
@@ -212,11 +213,11 @@ def cmd_dt_eval(args):
         raise InputError(f"{args.model}: dispersion thresholding requires a symmetric-matrix "
                          f"head model, got {head!r}")
     width = sum(nn.layer_dims(cfg, head))
-    most = DT_EVAL_BUDGET // width - 1000
+    most = DT_EVAL_BUDGET // width - nn.DT_REFERENCE
     if args.mix > most:
         raise InputError(f"--mix {args.mix} is over {max(most, 0)} for a model of per-sample width "
-                         f"{width} (input plus layer widths): (1000 reference + mix) x width must "
-                         f"stay within {DT_EVAL_BUDGET}")
+                         f"{width} (input plus layer widths): ({nn.DT_REFERENCE} reference + mix) "
+                         f"x width must stay within {DT_EVAL_BUDGET}")
     os.makedirs(args.out, exist_ok=True)
     rng = rng_for(args.seed, 404)
     report = nn.dt_evaluate(net, cfg, args.q, args.corruption, rng, n_mix=args.mix)
@@ -295,7 +296,7 @@ def cmd_avg(args):
         cost = float(np.sum(d_quat(mean, quats) ** 2))
     print(f"count: {len(quats)}")
     print(f"method: {args.method}")
-    print(f"mean: {_fmt(mean[0])} {_fmt(mean[1])} {_fmt(mean[2])} {_fmt(mean[3])}")
+    print(f"mean: {' '.join(map(_fmt, mean))}")
     print(f"residual_cost: {_fmt(cost)}")
     return 0
 

@@ -32,9 +32,9 @@ from .bingham import _quantile, dt_classify, dt_fit
 from .symrep import qcqp_forward, qcqp_vjp, theta_to_A, theta_to_A_adjoint
 from .wahba import CORRUPTIONS, InputError, rng_for, sample_rotations
 
-HEADS = ("quat", "6d", "A")
-LOSSES = ("quat", "chord", "ang")
 HEAD_DIMS = {"quat": 4, "6d": 6, "A": 10}
+HEADS = tuple(HEAD_DIMS)
+LOSSES = ("quat", "chord", "ang")
 
 LEAKY_SLOPE = 0.01
 
@@ -48,6 +48,8 @@ SIZE_BOUNDS = {"epochs": (0, 10_000), "trials": (1, 1000), "batch_rotations": (1
                "matches_per_rotation": (1, 1000), "test_rotations": (1, 10_000),
                "batches_per_epoch": (1, 1000), "hidden_widths": (1, 1024)}
 MAX_HIDDEN_LAYERS = 32
+
+DT_REFERENCE = 1000  # in-distribution samples dt_evaluate fits its threshold to by default
 
 # Substream tags hung off (seed, trial) for independent draws.
 _STREAM_INIT = 0
@@ -166,14 +168,8 @@ def _unit_backward(u, n, g):
     return (g - u * np.sum(u * g, axis=-1, keepdims=True)) / n
 
 
-def _quat_head_forward(raw):
-    q, n, valid = _unit(raw)
-    q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
-    return q, so3.quat_to_rot(q), n, valid
-
-
 def _sixd_head_forward(raw):
-    """Gram-Schmidt of (B, 6) rows: (R, frame, valid).
+    """Gram-Schmidt of (B, 6) rows: head_forward's (None, R, frame, valid).
 
     R's columns are b1 = a1/n1, b2 = u2/n2 with u2 = a2 - p b1 and p = b1 . a2, and
     b1 x b2; frame = (a2, b1, b2, n1, n2, p) is what the backward reads. valid is
@@ -185,7 +181,7 @@ def _sixd_head_forward(raw):
     b2, n2, valid2 = _unit(a2 - p * b1)
     valid = valid1 & valid2
     R = np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
-    return np.where(valid[:, None, None], R, np.eye(3)), (a2, b1, b2, n1, n2, p), valid
+    return None, np.where(valid[:, None, None], R, np.eye(3)), (a2, b1, b2, n1, n2, p), valid
 
 
 def _sixd_head_backward(frame, grad_R):
@@ -207,26 +203,24 @@ def _sixd_head_backward(frame, grad_R):
 def head_forward(head, raw):
     """Head readout of a (B, d) batch: (q, R, aux, valid).
 
-    q is None for the 6d head: no loss or backward pass it runs reads it. aux is
-    the forward state head_backward reads: the quat head's safe norm, the 6d
-    head's Gram-Schmidt frame, or the A head's EigenDecomp4, whose
-    dispersion_trace is the OOD score. valid is False where the input is
-    degenerate; R is the identity there. ValueError on an unknown head or a
-    width not d.
+    The quat and A heads differ only in how raw becomes a unit q (normalization, or
+    the QCQP minimum eigenvector of theta_to_A(raw)); both read R = quat_to_rot(q).
+    The 6d head builds R itself, and its q is None: no loss or backward it runs reads
+    it. aux is the forward state head_backward reads: the quat head's safe norm, the
+    6d head's Gram-Schmidt frame, or the A head's EigenDecomp4, whose dispersion_trace
+    is the OOD score. valid is False where the input is degenerate; q and R are the
+    identity there. ValueError on an unknown head or a width not d.
     """
     if head not in HEAD_DIMS:
         raise ValueError(f"unknown head {head!r}")
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != HEAD_DIMS[head]:
         raise ValueError(f"head {head!r} expects (B, {HEAD_DIMS[head]}) input, got {raw.shape}")
-    if head == "quat":
-        return _quat_head_forward(raw)
     if head == "6d":
-        R, frame, valid = _sixd_head_forward(raw)
-        return None, R, frame, valid
-    q, dec, valid = qcqp_forward(theta_to_A(raw))
+        return _sixd_head_forward(raw)
+    q, aux, valid = _unit(raw) if head == "quat" else qcqp_forward(theta_to_A(raw))
     q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
-    return q, so3.quat_to_rot(q), dec, valid
+    return q, so3.quat_to_rot(q), aux, valid
 
 
 def head_backward(head, q, aux, grad_q, grad_R):
@@ -540,7 +534,7 @@ def _stats_row(trial, seed, lr, epoch, split, head, errs_deg):
 
 
 def _readout(net, head, x, where):
-    """(cache, head_forward(head, raw)) of a batch, raw being the net output.
+    """(cache, q, R, aux, valid) of a batch: forward's cache, then head_forward of its output.
 
     A non-finite net output raises FloatingPointError naming `where` before the
     head reads it.
@@ -548,12 +542,12 @@ def _readout(net, head, x, where):
     raw, cache = forward(net, x)
     if not np.isfinite(raw).all():
         raise FloatingPointError(f"{where}: network output is not finite")
-    return cache, head_forward(head, raw)
+    return cache, *head_forward(head, raw)
 
 
 def evaluate(net, head, x, R_gt, where):
     """Angular errors in degrees over the valid samples of a batch; a non-finite net output raises."""
-    _, (_, R, _, valid) = _readout(net, head, x, where)
+    _, _, R, _, valid = _readout(net, head, x, where)
     return np.rad2deg(so3.d_ang(R, R_gt))[valid]
 
 
@@ -580,7 +574,7 @@ def train_single(cfg, head, trial=0):
         for batch in range(cfg.batches_per_epoch if epoch else 1):
             rng = rng_for(cfg.seed, trial, _STREAM_TRAIN, epoch, batch)
             x, q_gt, R_gt = sample_batch(cfg, rng, cfg.batch_rotations)
-            cache, (q, R, aux, valid) = _readout(net, head, x, f"{at}, batch {batch}")
+            cache, q, R, aux, valid = _readout(net, head, x, f"{at}, batch {batch}")
             epoch_errs.append(np.rad2deg(so3.d_ang(R, R_gt))[valid])
             if not epoch:
                 continue
@@ -659,7 +653,7 @@ class DTReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite output raises below, without warnings first
-def dt_evaluate(net, cfg, q, corruption, rng, n_mix=200, n_reference=1000):
+def dt_evaluate(net, cfg, q, corruption, rng, n_mix, n_reference=DT_REFERENCE):
     """Threshold dispersion traces at the q-quantile and score a 50/50 mix.
 
     The threshold comes from n_reference fresh in-distribution samples
@@ -679,7 +673,7 @@ def dt_evaluate(net, cfg, q, corruption, rng, n_mix=200, n_reference=1000):
     traces, rotations = [], []
     for n, kind, name in blocks:
         x, _, R_gt = sample_batch(cfg, rng, n, corruption=kind)
-        _, (_, R, dec, _) = _readout(net, "A", x, f"dt-eval {name} block")
+        _, _, R, dec, _ = _readout(net, "A", x, f"dt-eval {name} block")
         traces.append(dec.dispersion_trace)
         rotations.append((R, R_gt))
     threshold = dt_fit(traces[0], min(q, 1.0))

@@ -202,8 +202,7 @@ def qcqp_solve(A):
     if np.shape(A) != (4, 4):
         raise ValueError(f"expected a single (4, 4) matrix, got {np.shape(A)}")
     q, dec, valid = qcqp_forward(A)
-    if not valid:
-        _raise_if_degenerate(valid, dec)
+    _raise_if_degenerate(valid, dec)
     return q, dec
 
 

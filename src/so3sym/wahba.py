@@ -112,15 +112,13 @@ _EYE4 = np.eye(4)
 
 
 def build_data_matrix(c):
-    """Assemble the symmetric 4x4 Wahba data matrix; empty input gives zeros."""
-    if len(c) == 0:
-        return np.zeros((4, 4))
+    """Assemble the 4x4 Wahba data matrix; empty input gives zeros. It is exactly symmetric
+    as built: columns 4i+j and 4j+i of _PROFILE_TO_A are equal, so A[i, j] = A[j, i] bitwise."""
     w = 1.0 / (c.sigma * c.sigma)[:, None]
     wu, wv = w * c.u, w * c.v
     B = wv.T @ c.u
     s = np.vdot(wu, c.u) + np.vdot(wv, c.v)
-    A = s * _EYE4 + 2.0 * (B.reshape(9) @ _PROFILE_TO_A).reshape(4, 4)
-    return 0.5 * (A + A.T)
+    return s * _EYE4 + 2.0 * (B.reshape(9) @ _PROFILE_TO_A).reshape(4, 4)
 
 
 def solve_wahba(c):

@@ -83,7 +83,7 @@ def test_out_of_range_flag_exits_2(capsys, argv, flag):
 
 _PAIRS = "ux,uy,uz,vx,vy,vz,sigma\n1,0,0,1,0,0,1\n"
 _HUGE_PAIR = "1e160,0,0,1e160,0,0,{}\n"  # |u|^2 + |v|^2 overflows; no sigma can help
-_QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"
+_QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows the inertia matrix
 
 
 @pytest.mark.parametrize("cmd, text, message", [
@@ -187,7 +187,6 @@ def _m1000_model_npz():
 _TRAIN = ["--out", "{d}/out", "train", "{d}/cfg.json"]
 _DT_EVAL = ["--out", "{d}", "dt-eval", "{d}/m.npz"]
 _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the data matrix overflows
-_QUATS = "x,y,z,w,weight\n0,0,0,1,1\n"  # a weight summing past ~3e153 overflows the inertia matrix
 
 
 # files written to the test's directory "{d}", argv, exit code, text the error line must hold

@@ -94,6 +94,14 @@ def test_sym_head_degenerate_is_invalid():
     assert np.array_equal(R[0], np.eye(3))
 
 
+@pytest.mark.parametrize("head, row", [("quat", np.zeros(4)), ("A", symrep.A_to_theta(np.eye(4)))])
+def test_quaternion_heads_fall_back_to_the_identity_bitwise(head, row):
+    q, R, _, valid = nn.head_forward(head, row[None])
+    assert valid.tolist() == [False]
+    assert np.array_equal(q[0], [0.0, 0.0, 0.0, 1.0]) and not np.signbit(q).any()
+    assert np.array_equal(R[0], np.eye(3)) and not np.signbit(R).any()
+
+
 def test_sixd_head_identity():
     _, R, _, valid = nn.head_forward("6d", [[1.0, 0, 0, 0, 1.0, 0]])
     assert valid.all() and np.allclose(R[0], np.eye(3))

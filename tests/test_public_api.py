@@ -44,7 +44,6 @@ SET_DEFAULTS = {
     "cli.main.argv": "benchmarks/run.py and cliprobe.py pass argument lists; entry() passes none",
     "nn.sample_batch.corruption": "nn.dt_evaluate's corrupted block; benchmarks/run.py",
     "nn.train_single.trial": "nn.train_experiment runs each trial",
-    "nn.dt_evaluate.n_mix": "cli dt-eval --mix",
     "nn.dt_evaluate.n_reference": "benchmarks/run.py scores with its own reference size",
     "symrep.qcqp_forward.gap_tol": "cli.run_grad_check filters at GRAD_CHECK_MIN_REL_GAP; the gate is DEFAULT_GAP_TOL",
     "symrep.qcqp_forward.decomp": "symrep.qcqp_jacobian_theta passes the decomposition it is given",

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,8 @@ from so3sym.symrep import DegenerateEigenspace
 from so3sym.wahba import Correspondences, SyntheticConfig, rng_for
 
 from util import kabsch
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def residual_reference(q, corr):
@@ -66,6 +73,43 @@ def test_data_matrix_symmetric():
     rng = np.random.default_rng(2)
     A = wahba.build_data_matrix(random_corr(rng))
     assert np.array_equal(A, A.T)
+
+
+def test_profile_blocks_are_symmetric():
+    # A[i, j] and A[j, i] read equal columns of _PROFILE_TO_A, so A is symmetric as built.
+    for block in wahba._PROFILE_TO_A.reshape(9, 4, 4):
+        assert np.array_equal(block, block.T)
+
+
+_SYMMETRIC = """
+import numpy as np
+from so3sym.wahba import Correspondences, build_data_matrix
+rng = np.random.default_rng(7)
+for n in (1, 10, 1000):
+    for _ in range(300):
+        c = Correspondences(u=rng.standard_normal((n, 3)), v=rng.standard_normal((n, 3)),
+                            sigma=rng.uniform(0.5, 2.0, n))
+        A = build_data_matrix(c)
+        assert np.array_equal(A, A.T), (n, A - A.T)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("coretype", [None, "Prescott"])
+def test_data_matrix_symmetric_under_blas_kernel(coretype):
+    # Prescott is a kernel every x86-64 OpenBLAS build can run; None is the host's own pick.
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        blas = ""
+    if "openblas" not in blas.lower():
+        pytest.skip("numpy is not linked against OpenBLAS")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(SRC)
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    proc = subprocess.run([sys.executable, "-c", _SYMMETRIC], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 @pytest.mark.parametrize("n", [1, 10, 1000])
