@@ -22,12 +22,24 @@ def _as_quats(quats):
     return q
 
 
-def inertia_matrix(quats, weights=None):
-    """Positive semi-definite sum_i w_i q_i q_i^T; weights default to 1.
+def weight_fault(w):
+    """(i, reason) for weight w[i], the first to break the first rule the inertia matrix needs,
+    or None. The rules, in order: each weight >= 0, and 16 s^2 finite for the running sum s,
+    which bounds the matrix's 16 entries that the readout squares."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.cumsum(w)  # sequential: each partial sum has the bits of a Python running sum
+        rules = [(w >= 0, "weight must be >= 0, got {w}"),
+                 (16.0 * s * s < math.inf, "weights sum to {s:.3g}, which overflows the inertia matrix; scale them down")]
+    for ok, reason in rules:
+        if not ok.all():
+            i = int(np.argmin(ok))
+            return i, reason.format(w=float(w[i]), s=s[i])
+    return None
 
-    The weight sum s bounds the 16 entries, which the readout squares: weights
-    whose 16 s^2 is not finite raise ValueError.
-    """
+
+def inertia_matrix(quats, weights=None):
+    """Positive semi-definite sum_i w_i q_i q_i^T; weights default to 1, and weights that
+    weight_fault rejects raise ValueError naming the quaternion."""
     q = _as_quats(quats)
     if weights is None:
         M = q.T @ q
@@ -35,12 +47,9 @@ def inertia_matrix(quats, weights=None):
         w = np.asarray(weights, dtype=float).ravel()
         if len(w) != len(q):
             raise ValueError(f"length mismatch: {len(q)} quaternions, {len(w)} weights")
-        if np.any(w < 0):
-            raise ValueError("weights must be >= 0")
-        s = sum(w.tolist())  # Python floats overflow to inf without a RuntimeWarning
-        if not 16.0 * s * s < math.inf:
-            raise ValueError(f"weights sum to {s:.3g}, which leaves the inertia matrix "
-                             "non-finite; scale them down")
+        fault = weight_fault(w)
+        if fault:
+            raise ValueError("quaternion {}: {}".format(*fault))
         M = (w[:, None] * q).T @ q
     return 0.5 * (M + M.T)
 

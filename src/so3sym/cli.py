@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .averaging import chordal_mean, quat_mean
+from .averaging import chordal_mean, quat_mean, weight_fault
 from .so3 import d_ang, d_chord, d_quat, quat_to_rot
 from .symrep import (A_to_theta, DegenerateEigenspace, EigenDecomp4, qcqp_forward,
                      qcqp_jacobian_theta, qcqp_solve, theta_to_A)
@@ -250,34 +250,18 @@ def cmd_dt_eval(args):
 QUAT_HEADERS = (["x", "y", "z", "w"], ["x", "y", "z", "w", "weight"])
 
 
-def _quat_problem(vals):
-    n = math.hypot(*vals[:4])
-    if abs(n - 1.0) > 1e-6:
-        return f"quaternion norm {n:.6g} is not 1"
-    if len(vals) == 5 and vals[4] < 0:
-        return f"weight must be >= 0, got {vals[4]}"
-
-
 def read_quaternions_csv(path):
-    """Parse a quaternion CSV (header x,y,z,w with optional weight column).
-
-    The weights' running sum s bounds the inertia matrix's 16 entries, which the
-    readout squares: the line where 16 s^2 overflows is an input error.
-    """
-    total = 0.0
-
-    def problem(vals):
-        nonlocal total
-        bad = _quat_problem(vals)
-        if bad or len(vals) == 4:
-            return bad
-        total += vals[4]
-        if not 16.0 * total * total < math.inf:
-            return f"weights sum to {total:.3g}, which overflows the inertia matrix; scale them down"
-
-    header, rows = _read_csv_table(path, QUAT_HEADERS, problem)
-    data = np.array(rows, dtype=float).reshape(-1, len(header))
+    """Parse a quaternion CSV (header x,y,z,w with optional weight column). Each quaternion
+    has norm 1 to within 1e-6 and weight_fault admits the weights, or the error names the line."""
+    header, data, lines = _read_csv_table(path, QUAT_HEADERS)
+    for row, line in zip(data, lines):
+        n = math.hypot(*row[:4])
+        if abs(n - 1.0) > 1e-6:
+            raise InputError.at(path, line, f"quaternion norm {n:.6g} is not 1")
     weights = data[:, 4].copy() if len(header) == 5 and len(data) else None
+    fault = weights is not None and weight_fault(weights)
+    if fault:
+        raise InputError.at(path, lines[fault[0]], fault[1])
     return np.ascontiguousarray(data[:, :4]), weights
 
 

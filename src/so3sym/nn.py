@@ -22,6 +22,7 @@ import itertools
 import json
 import numbers
 import zipfile
+import zlib
 from dataclasses import dataclass, asdict
 from typing import ClassVar
 
@@ -427,7 +428,7 @@ class TrainConfig:
         with open(path) as fh:
             try:
                 return cls.from_dict(json.load(fh), **defaults)
-            except ValueError as exc:  # InputError, or a file that is not JSON text
+            except (ValueError, RecursionError) as exc:  # InputError, not JSON text, nested too deep
                 raise InputError(f"{path}: {exc}") from None
 
 
@@ -785,5 +786,6 @@ def load_model(path):
         if not all(np.isfinite(a).all() for a in weights + biases):
             raise ValueError("weights are not finite")
         return DenseNet(weights, biases), meta["head"], meta["config"]
-    except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, EOFError, RecursionError,
+            NotImplementedError, zlib.error, zipfile.BadZipFile) as exc:
         raise InputError(f"{path}: not a {MODEL_FORMAT} file: {exc}") from None

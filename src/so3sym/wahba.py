@@ -24,7 +24,7 @@ rotation convention used here. Building A is O(N) vector work plus one
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,41 +32,54 @@ from .so3 import canonicalize_quat, exp_map, quat_left_matrix, quat_right_matrix
 from .symrep import qcqp_solve
 
 
+def pair_fault(u, v, sigma):
+    """(i, reason) for pair i, the first to break the first rule the data matrix needs, or None.
+    The rules, in order: u, v and sigma finite; sigma > 0; |u|^2 + |v|^2 finite; w = 1/sigma^2
+    non-zero (sigma^2 overflows above ~1.34e154, and 1/inf is 0) and finite; and 64 s^2 finite
+    for s = sum w (|u|^2 + |v|^2), which bounds the 16 entries of the matrix its readout squares."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = 1.0 / (sigma * sigma)
+        sq = np.sum(u * u + v * v, axis=-1)
+        rules = [(np.isfinite(u).all(-1) & np.isfinite(v).all(-1) & np.isfinite(sigma),
+                  "u, v and sigma must be finite"),
+                 (sigma > 0, "sigma must be > 0, got {}"),
+                 (np.isfinite(sq), "|u|^2 + |v|^2 overflows; scale u and v down"),
+                 (w > 0, "sigma {} is too large: sigma^2 overflows"),
+                 (w < math.inf, "sigma {} is too small: weight 1/sigma^2 is not finite")]
+        for ok, reason in rules:
+            if not ok.all():
+                i = int(np.argmin(ok))
+                return i, reason.format(float(sigma[i]))
+        s = float(w @ sq)
+        if not 64.0 * s * s < math.inf:
+            # w @ sq decides; the running sum (which may round apart) rises, so it names the crossing.
+            i = min(np.count_nonzero(64.0 * np.cumsum(w * sq) ** 2 < math.inf), len(w) - 1)
+            return i, f"data-matrix scale sum w (|u|^2 + |v|^2) = {s:.3g} overflows; scale sigma up"
+    return None
+
+
 @dataclass(frozen=True)
 class Correspondences:
-    """Weighted vector-pair set: u, v are (N, 3); sigma is (N,) with sigma > 0."""
+    """Weighted vector-pair set that pair_fault admits: u, v (N, 3), sigma (N,) and w = 1/sigma^2."""
 
     u: np.ndarray
     v: np.ndarray
     sigma: np.ndarray
+    w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).reshape(-1, 3)
         v = np.asarray(self.v, dtype=float).reshape(-1, 3)
         sigma = np.asarray(self.sigma, dtype=float).ravel()
         if not (len(u) == len(v) == len(sigma)):
-            raise ValueError(
-                f"length mismatch: u {len(u)}, v {len(v)}, sigma {len(sigma)}")
-        if not all(np.isfinite(a).all() for a in (u, v, sigma)):
-            raise ValueError("u, v and sigma must be finite")
-        if np.any(sigma <= 0):
-            raise ValueError("all sigma must be > 0")
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            w = 1.0 / (sigma * sigma)
-            if not np.isfinite(w).all():
-                raise ValueError("every weight 1/sigma^2 must be finite")
-            # The data matrix's 16 entries are at most 2 s in size; its readout squares them.
-            sq = np.sum(u * u + v * v, axis=-1)
-            s = float(w @ sq)
-        if not 64.0 * s * s < math.inf:
-            bad = np.flatnonzero(~np.isfinite(sq))
-            if len(bad):
-                raise ValueError(f"|u[{bad[0]}]|^2 + |v[{bad[0]}]|^2 overflows; scale u and v down")
-            raise ValueError(f"data-matrix scale sum w (|u|^2 + |v|^2) = {s:.3g} "
-                             "overflows; scale sigma up")
+            raise ValueError(f"length mismatch: u {len(u)}, v {len(v)}, sigma {len(sigma)}")
+        fault = pair_fault(u, v, sigma)
+        if fault:
+            raise ValueError("pair {}: {}".format(*fault))
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "w", 1.0 / (sigma * sigma))
 
     def __len__(self):
         return len(self.u)
@@ -114,7 +127,7 @@ _EYE4 = np.eye(4)
 def build_data_matrix(c):
     """Assemble the 4x4 Wahba data matrix; empty input gives zeros. It is exactly symmetric
     as built: columns 4i+j and 4j+i of _PROFILE_TO_A are equal, so A[i, j] = A[j, i] bitwise."""
-    w = 1.0 / (c.sigma * c.sigma)[:, None]
+    w = c.w[:, None]
     wu, wv = w * c.u, w * c.v
     B = wv.T @ c.u
     s = np.vdot(wu, c.u) + np.vdot(wv, c.v)
@@ -187,19 +200,20 @@ class InputError(ValueError):
         super().__init__(message)
         self.line = line
 
+    @classmethod
+    def at(cls, path, line, problem):
+        """The error for a fault on `line` of the file at `path`."""
+        return cls(f"{path}: line {line}: {problem}", line)
 
-def _read_csv_table(path, headers, row_problem):
-    """(header, rows) of a CSV file, each row one finite float per header field.
 
-    Blank lines and lines starting with `#` are skipped; the first other
-    line is the header, which must be one of `headers`. `row_problem(vals)`
-    returns what is wrong with a data row, or None. Every fault raises
-    InputError naming the file and the line.
+def _read_csv_table(path, headers):
+    """(header, data, lines) of a CSV file: data holds one row of finite floats per data line,
+    one per header field, and lines[i] is the file line of data[i].
+
+    Blank lines and lines starting with `#` are skipped; the first other line is the header,
+    which must be one of `headers`. Every fault raises InputError naming the file and line.
     """
-    def fail(line, problem):
-        raise InputError(f"{path}: line {line}: {problem}", line)
-
-    header, rows = None, []
+    header, rows, lines = None, [], []
     with open(path, newline="") as fh:
         try:
             for line, row in enumerate(csv.reader(fh), start=1):
@@ -209,46 +223,34 @@ def _read_csv_table(path, headers, row_problem):
                     header = [f.strip() for f in row]
                     if header not in headers:
                         expected = " or ".join(map(",".join, headers))
-                        fail(line, f"expected header {expected}, got {','.join(header)}")
+                        raise InputError.at(path, line, f"expected header {expected}, got {header!r}")
                     continue
                 if len(row) != len(header):
-                    fail(line, f"expected {len(header)} columns, got {len(row)}")
+                    raise InputError.at(path, line, f"expected {len(header)} columns, got {len(row)}")
                 try:
                     vals = [float(f) for f in row]
                 except ValueError as exc:
-                    fail(line, exc)
+                    raise InputError.at(path, line, exc) from None
                 if not all(map(math.isfinite, vals)):
                     name, x = next((n, x) for n, x in zip(header, vals) if not math.isfinite(x))
-                    fail(line, f"{name} must be finite, got {x}")
-                problem = row_problem(vals)
-                if problem:
-                    fail(line, problem)
+                    raise InputError.at(path, line, f"{name} must be finite, got {x}")
                 rows.append(vals)
+                lines.append(line)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise InputError(f"{path}: not a CSV text file: {exc}") from None
     if header is None:
-        raise InputError(f"{path}: line 1: missing header row", 1)
-    return header, rows
-
-
-def _pair_problem(vals):
-    sigma = vals[6]
-    if sigma <= 0:
-        return f"sigma must be > 0, got {sigma}"
-    if sigma * sigma == 0.0 or not math.isfinite(1.0 / (sigma * sigma)):
-        return f"sigma {sigma} is too small: weight 1/sigma^2 is not finite"
-    if not math.isfinite(sum(a * a + b * b for a, b in zip(vals[:3], vals[3:6]))):
-        return "|u|^2 + |v|^2 overflows; scale u and v down"
+        raise InputError.at(path, 1, "missing header row")
+    return header, np.array(rows, dtype=float).reshape(-1, len(header)), lines
 
 
 def read_correspondences_csv(path):
     """Parse a correspondence CSV (header ux,uy,uz,vx,vy,vz,sigma)."""
-    _, rows = _read_csv_table(path, [CSV_FIELDS], _pair_problem)
-    data = np.array(rows, dtype=float).reshape(-1, 7)
-    try:
-        return Correspondences(u=data[:, 0:3], v=data[:, 3:6], sigma=data[:, 6])
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    _, data, lines = _read_csv_table(path, [CSV_FIELDS])
+    u, v, sigma = data[:, 0:3], data[:, 3:6], data[:, 6]
+    fault = pair_fault(u, v, sigma)
+    if fault:
+        raise InputError.at(path, lines[fault[0]], fault[1])
+    return Correspondences(u=u, v=v, sigma=sigma)
 
 
 def write_correspondences_csv(path, c):

@@ -136,7 +136,7 @@ def test_quat_mean_empty():
 
 
 def test_inertia_matrix_rejects_negative_weights():
-    with pytest.raises(ValueError, match="weights must be >= 0"):
+    with pytest.raises(ValueError, match="^quaternion 1: weight must be >= 0, got -1.0$"):
         averaging.inertia_matrix([[0, 0, 0, 1.0], [1.0, 0, 0, 0]], [1.0, -1.0])
 
 

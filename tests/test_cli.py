@@ -184,6 +184,33 @@ def _m1000_model_npz():
     return buf.getvalue()
 
 
+def _damaged_zip_npz(kind):
+    """Bytes of a model whose zip holds damage that np.load cannot decode: "method" sets the first
+    central-directory entry's compression method to 99, "deflate" gives a compressed model's
+    first member a deflate block of the reserved type."""
+    buf = io.BytesIO()
+    if kind == "method":
+        write_model(buf, nn.init_net([60, 8, 10], np.random.default_rng(0)), "A", _CFG_8)
+        data = bytearray(buf.getvalue())
+        data[data.index(b"PK\x01\x02") + 10] = 99
+    else:
+        np.savez_compressed(buf, meta=np.frombuffer(b'{"format": "so3sym-model-v1"}', np.uint8))
+        data = bytearray(buf.getvalue())
+        name_len, extra_len = np.frombuffer(bytes(data[26:30]), "<u2")
+        data[30 + name_len + extra_len] = 0b111  # final block, type 3: reserved
+    return bytes(data)
+
+
+_NESTED = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder's recursion limit
+
+
+def _nested_meta_npz():
+    """Bytes of an npz whose meta entry is a JSON array nested 100 000 deep."""
+    buf = io.BytesIO()
+    np.savez(buf, meta=np.frombuffer(_NESTED.encode(), np.uint8))
+    return buf.getvalue()
+
+
 _TRAIN = ["--out", "{d}/out", "train", "{d}/cfg.json"]
 _DT_EVAL = ["--out", "{d}", "dt-eval", "{d}/m.npz"]
 _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the data matrix overflows
@@ -261,6 +288,15 @@ _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the dat
     ({"pairs.csv": "ux,uy,uz,vx,vy,vz,sigma\n1,0,0,1,0,0,-1\n"}, ["wahba", "{d}/pairs.csv"], 2,
      "line 2: sigma must be > 0"),
     ({"cfg.json": '{"epoch": 3}'}, _TRAIN, 2, "unknown config keys: ['epoch']"),
+    ({"m.npz": _damaged_zip_npz("method")}, _DT_EVAL, 2, "m.npz: not a so3sym-model-v1 file"),
+    ({"m.npz": _damaged_zip_npz("deflate")}, _DT_EVAL, 2, "m.npz: not a so3sym-model-v1 file"),
+    ({"cfg.json": _NESTED}, _TRAIN, 2, "cfg.json: maximum recursion depth exceeded"),
+    ({"m.npz": _nested_meta_npz()}, _DT_EVAL, 2,
+     "m.npz: not a so3sym-model-v1 file: maximum recursion depth exceeded"),
+    ({"q.csv": 'x,y,z,"w\n-"\n0,0,0,1\n'}, ["avg", "{d}/q.csv"], 2,
+     "q.csv: line 1: expected header x,y,z,w or x,y,z,w,weight, got ['x', 'y', 'z', 'w\\n-']"),
+    ({"pairs.csv": _PAIRS + "0,1,0,0,1,0,1e155\n"}, ["wahba", "{d}/pairs.csv"], 2,
+     "pairs.csv: line 3: sigma 1e+155 is too large: sigma^2 overflows"),
 ], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
         "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
         "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
@@ -270,7 +306,9 @@ _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the dat
         "dt-eval-output-overflow", "count-over-bound", "n-over-bound", "mix-over-bound",
         "layers-over-bound", "mix-over-model-bound", "mix-without-corrupted", "synthetic-sigma-small",
         "synthetic-sigma-large", "pair-overflow-sigma-1", "pair-overflow-sigma-1e200", "avg-empty",
-        "wahba-comment-only", "sigma-zero", "sigma-negative", "config-unknown-key"])
+        "wahba-comment-only", "sigma-zero", "sigma-negative", "config-unknown-key",
+        "npz-compression-method", "npz-bad-deflate", "config-nested", "model-meta-nested",
+        "header-quoted-newline", "sigma-square-overflow"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
@@ -705,3 +743,42 @@ def test_avg_malformed(tmp_path, capsys):
     code, _, err = run(capsys, "avg", path)
     assert code == 2
     assert "line 2" in err
+
+
+def _rejections(tmp_path, capsys, cmd, header, rows, library):
+    """(index, reason) from library(rows) and (line, reason) from the command on the same rows
+    as a CSV file, whose first data row is line 2."""
+    with pytest.raises(ValueError) as exc:
+        library(np.array(rows, dtype=float))
+    index, reason = re.fullmatch(r"\w+ (\d+): (.*)", str(exc.value)).groups()
+    path = tmp_path / f"{cmd}.csv"
+    path.write_text("\n".join([header] + [",".join(map(repr, r)) for r in rows]) + "\n")
+    code, _, err = run(capsys, cmd, path)
+    assert code == 2
+    line, cli_reason = re.fullmatch(rf"error: {re.escape(str(path))}: line (\d+): (.*)\n", err).groups()
+    return (int(index), reason), (int(line) - 2, cli_reason)
+
+
+@pytest.mark.parametrize("weights", [
+    [1.0, -1.0, 2.0], [1.0, 1e160, 1.0], [1.0, 2e153, 2e153, 1.0], [2e153, 2e153, -1.0],
+    [1.0, -0.5, 1e308],
+], ids=["negative", "huge", "sum-crosses", "crossing-before-negative", "negative-before-huge"])
+def test_inertia_matrix_and_avg_reject_a_weight_column_alike(tmp_path, capsys, weights):
+    quats = np.eye(4)[np.arange(len(weights)) % 4]
+    rows = [[*q, w] for q, w in zip(quats.tolist(), weights)]
+    lib, cli_ = _rejections(tmp_path, capsys, "avg", "x,y,z,w,weight", rows,
+                            lambda a: averaging.inertia_matrix(a[:, :4], a[:, 4]))
+    assert lib == cli_
+
+
+@pytest.mark.parametrize("sigmas", [
+    [1.0, 0.0, 1.0], [1.0, -1.0], [1.0, 1e155], [1.0, 1e-170], [1.0, 1.0, 1e-154],
+    [1e-154, 1e155],
+], ids=["zero", "negative", "square-overflow", "weight-overflow", "scale-overflow",
+        "scale-before-square"])
+def test_correspondences_and_wahba_reject_a_sigma_column_alike(tmp_path, capsys, sigmas):
+    e = np.eye(3)[np.arange(len(sigmas)) % 3]
+    rows = [[*u, *u, s] for u, s in zip(e.tolist(), sigmas)]
+    lib, cli_ = _rejections(tmp_path, capsys, "wahba", ",".join(wahba.CSV_FIELDS), rows,
+                            lambda a: wahba.Correspondences(u=a[:, :3], v=a[:, 3:6], sigma=a[:, 6]))
+    assert lib == cli_

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,10 +145,19 @@ def test_correspondences_reject_overflowing_data_matrix():
 @pytest.mark.parametrize("sigma", [1.0, 1e200])
 def test_correspondences_name_the_pair_whose_squares_overflow(sigma):
     u = np.array([[1.0, 0, 0], [0, 1, 0], [1e160, 0, 0]])
-    with pytest.raises(ValueError, match=r"^\|u\[2\]\|\^2 \+ \|v\[2\]\|\^2 overflows; "
+    with pytest.raises(ValueError, match=r"^pair 2: \|u\|\^2 \+ \|v\|\^2 overflows; "
                                          r"scale u and v down$") as exc:
         Correspondences(u=u, v=u, sigma=[1.0, 1.0, sigma])
     assert "sigma" not in str(exc.value)
+
+
+def test_correspondences_reject_sigma_whose_square_overflows():
+    # 1/inf is a finite 0, so only sigma^2 itself shows that the weight 1e-310 is lost.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^pair 1: sigma 1e\+155 is too large: "
+                                             r"sigma\^2 overflows$"):
+            Correspondences(u=np.eye(2, 3), v=np.eye(2, 3), sigma=[1.0, 1e155])
 
 
 def test_large_accepted_weights_solve_like_unit_weights():
