@@ -786,6 +786,8 @@ def load_model(path):
         if not all(np.isfinite(a).all() for a in weights + biases):
             raise ValueError("weights are not finite")
         return DenseNet(weights, biases), meta["head"], meta["config"]
-    except (ValueError, KeyError, TypeError, AttributeError, EOFError, RecursionError,
-            NotImplementedError, zlib.error, zipfile.BadZipFile) as exc:
+    # RuntimeError is zipfile's encrypted member, and the base of RecursionError (meta nested
+    # too deep) and of NotImplementedError (an unknown compression method).
+    except (ValueError, KeyError, TypeError, AttributeError, EOFError, RuntimeError,
+            zlib.error, zipfile.BadZipFile) as exc:
         raise InputError(f"{path}: not a {MODEL_FORMAT} file: {exc}") from None

@@ -27,14 +27,8 @@ def _scale(lo, hi, out_lo, out_hi):
     return f
 
 
-def _polyline(xs, ys):
-    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-
-
-def _band_path(xs, lo, hi):
-    fwd = [f"{x:.2f},{y:.2f}" for x, y in zip(xs, hi)]
-    back = [f"{x:.2f},{y:.2f}" for x, y in zip(reversed(xs), reversed(lo))]
-    return "M " + " L ".join(fwd + back) + " Z"
+def _points(xs, ys):
+    return [f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)]
 
 
 def render_learning_curves(rows, path):
@@ -44,23 +38,21 @@ def render_learning_curves(rows, path):
     percentile fields across trials by their median.
     """
     split = "test"
-    rows = [r for r in rows if r.split == split]
-    if not rows:
+    groups = {}  # (head, epoch) -> that epoch's (median, p10, p90) per trial, in input order
+    for r in rows:
+        if r.split == split:
+            groups.setdefault((r.head, r.epoch), []).append((r.median_deg, r.p10_deg, r.p90_deg))
+    if not groups:
         raise ValueError(f"no rows with split {split!r}")
-    heads = sorted({r.head for r in rows})
-    epochs = sorted({r.epoch for r in rows})
+    epochs = sorted({e for _, e in groups})
+    series = {}  # head -> (its epochs, med, p10, p90), heads in sorted order
+    for head, e in sorted(groups):
+        es, *cols = series.setdefault(head, ([], [], [], []))
+        es.append(e)
+        for out, col in zip(cols, np.array(groups[head, e]).T):
+            out.append(float(_quantile(col, 0.5)))
 
-    series = {}
-    for head in heads:
-        med, p10, p90 = [], [], []
-        for e in epochs:
-            sub = np.array([(r.median_deg, r.p10_deg, r.p90_deg)
-                            for r in rows if r.head == head and r.epoch == e])
-            for out, col in zip((med, p10, p90), sub.T):
-                out.append(float(_quantile(col, 0.5)))
-        series[head] = (med, p10, p90)
-
-    y_max = max(max(p90) for _, _, p90 in series.values()) * 1.05 + 1e-9
+    y_max = max(max(p90) for *_, p90 in series.values()) * 1.05 + 1e-9
     sx = _scale(min(epochs), max(epochs) if len(epochs) > 1 else min(epochs) + 1,
                 MARGIN["left"], WIDTH - MARGIN["right"])
     sy = _scale(0.0, y_max, HEIGHT - MARGIN["bottom"], MARGIN["top"])
@@ -69,7 +61,7 @@ def render_learning_curves(rows, path):
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f"<!-- split={split} epochs={epochs[0]}..{epochs[-1]} heads={','.join(heads)} -->",
+        f"<!-- split={split} epochs={epochs[0]}..{epochs[-1]} heads={','.join(series)} -->",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="22" text-anchor="middle" font-size="15" '
         f'font-family="sans-serif">Test angular error ({split})</text>',
@@ -96,15 +88,15 @@ def render_learning_curves(rows, path):
                  f'font-family="sans-serif" transform="rotate(-90 16 {(y0 + y1) / 2:.0f})">'
                  f'angular error (deg)</text>')
 
-    xs = [float(sx(e)) for e in epochs]
-    for i, head in enumerate(heads):
-        med, p10, p90 = series[head]
+    for i, (head, (es, med, p10, p90)) in enumerate(series.items()):
+        xs = sx(es)
         color = HEAD_COLORS.get(head, "#555555")
+        band = _points(xs, sy(p90)) + _points(xs[::-1], sy(p10)[::-1])
         parts.append(f"<!-- head={head} median={[round(m, 4) for m in med]} "
                      f"p10={[round(m, 4) for m in p10]} p90={[round(m, 4) for m in p90]} -->")
-        parts.append(f'<path id="band-{head}" d="{_band_path(xs, [float(sy(v)) for v in p10], [float(sy(v)) for v in p90])}" '
+        parts.append(f'<path id="band-{head}" d="M {" L ".join(band)} Z" '
                      f'fill="{color}" fill-opacity="0.18" stroke="none"/>')
-        parts.append(f'<polyline id="median-{head}" points="{_polyline(xs, [float(sy(v)) for v in med])}" '
+        parts.append(f'<polyline id="median-{head}" points="{" ".join(_points(xs, sy(med)))}" '
                      f'fill="none" stroke="{color}" stroke-width="2"/>')
         ly = MARGIN["top"] + 18 * i + 10
         lx = WIDTH - MARGIN["right"] + 16

@@ -161,18 +161,17 @@ def qcqp_forward(A, gap_tol=DEFAULT_GAP_TOL, decomp=None):
     return decomp.vectors[..., :, 0].copy(), decomp, valid
 
 
-def _raise_if_degenerate(valid, decomp):
-    """Raise DegenerateEigenspace unless qcqp_forward's valid is all True.
+def _degenerate_error(valid, decomp):
+    """The DegenerateEigenspace for qcqp_forward's valid where it is not all True.
 
     This is the one message for a non-simple minimum eigenvalue; it names the
-    smallest failing gap against the gate.
+    smallest failing gap against the gate. Callers test valid themselves.
     """
-    if not valid.all():
-        gap = float(np.min(decomp.eigengap[~valid]))
-        where = f" in {np.count_nonzero(~valid)} of {valid.size} matrices" if valid.ndim else ""
-        raise DegenerateEigenspace(
-            f"minimum eigenvalue is not simple{where} "
-            f"(gap {gap:.3e} < {DEFAULT_GAP_TOL:.1e} * max(1, ||A||_F))")
+    gap = float(np.min(decomp.eigengap[~valid]))
+    where = f" in {np.count_nonzero(~valid)} of {valid.size} matrices" if valid.ndim else ""
+    return DegenerateEigenspace(
+        f"minimum eigenvalue is not simple{where} "
+        f"(gap {gap:.3e} < {DEFAULT_GAP_TOL:.1e} * max(1, ||A||_F))")
 
 
 def qcqp_vjp(decomp, q, grad_q):
@@ -202,7 +201,8 @@ def qcqp_solve(A):
     if np.shape(A) != (4, 4):
         raise ValueError(f"expected a single (4, 4) matrix, got {np.shape(A)}")
     q, dec, valid = qcqp_forward(A)
-    _raise_if_degenerate(valid, dec)
+    if not valid:
+        raise _degenerate_error(valid, dec)
     return q, dec
 
 
@@ -214,7 +214,8 @@ def qcqp_jacobian_theta(A, decomp=None):
     unless every minimum eigenvalue is simple.
     """
     q, dec, valid = qcqp_forward(A, decomp=decomp)
-    _raise_if_degenerate(valid, dec)
+    if not valid.all():
+        raise _degenerate_error(valid, dec)
     rows = EigenDecomp4(dec.lambdas[..., None, :], dec.vectors[..., None, :, :])
     return theta_to_A_adjoint(qcqp_vjp(rows, q[..., None, :], np.eye(4)))
 

@@ -191,19 +191,12 @@ CSV_FIELDS = ["ux", "uy", "uz", "vx", "vy", "vz", "sigma"]
 
 
 class InputError(ValueError):
-    """Bad outside input (file, line or config key), named in the message; the CLI exits 2.
-
-    `line` is the 1-based line of the file the error points into, or None.
-    """
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    """Bad outside input (file, line or config key), named in the message; the CLI exits 2."""
 
     @classmethod
     def at(cls, path, line, problem):
         """The error for a fault on `line` of the file at `path`."""
-        return cls(f"{path}: line {line}: {problem}", line)
+        return cls(f"{path}: line {line}: {problem}")
 
 
 def _read_csv_table(path, headers):

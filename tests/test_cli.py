@@ -186,13 +186,18 @@ def _m1000_model_npz():
 
 def _damaged_zip_npz(kind):
     """Bytes of a model whose zip holds damage that np.load cannot decode: "method" sets the first
-    central-directory entry's compression method to 99, "deflate" gives a compressed model's
-    first member a deflate block of the reserved type."""
+    central-directory entry's compression method to 99, "encrypted" sets that entry's
+    encryption flag, "deflate" gives a compressed model's first member a deflate block of the
+    reserved type."""
     buf = io.BytesIO()
-    if kind == "method":
+    if kind in ("method", "encrypted"):
         write_model(buf, nn.init_net([60, 8, 10], np.random.default_rng(0)), "A", _CFG_8)
         data = bytearray(buf.getvalue())
-        data[data.index(b"PK\x01\x02") + 10] = 99
+        at = data.index(b"PK\x01\x02")
+        if kind == "method":
+            data[at + 10] = 99
+        else:
+            data[at + 8] |= 1
     else:
         np.savez_compressed(buf, meta=np.frombuffer(b'{"format": "so3sym-model-v1"}', np.uint8))
         data = bytearray(buf.getvalue())
@@ -290,6 +295,8 @@ _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the dat
     ({"cfg.json": '{"epoch": 3}'}, _TRAIN, 2, "unknown config keys: ['epoch']"),
     ({"m.npz": _damaged_zip_npz("method")}, _DT_EVAL, 2, "m.npz: not a so3sym-model-v1 file"),
     ({"m.npz": _damaged_zip_npz("deflate")}, _DT_EVAL, 2, "m.npz: not a so3sym-model-v1 file"),
+    ({"m.npz": _damaged_zip_npz("encrypted")}, _DT_EVAL, 2,
+     "m.npz: not a so3sym-model-v1 file: File 'meta.npy' is encrypted, password required"),
     ({"cfg.json": _NESTED}, _TRAIN, 2, "cfg.json: maximum recursion depth exceeded"),
     ({"m.npz": _nested_meta_npz()}, _DT_EVAL, 2,
      "m.npz: not a so3sym-model-v1 file: maximum recursion depth exceeded"),
@@ -307,8 +314,8 @@ _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the dat
         "layers-over-bound", "mix-over-model-bound", "mix-without-corrupted", "synthetic-sigma-small",
         "synthetic-sigma-large", "pair-overflow-sigma-1", "pair-overflow-sigma-1e200", "avg-empty",
         "wahba-comment-only", "sigma-zero", "sigma-negative", "config-unknown-key",
-        "npz-compression-method", "npz-bad-deflate", "config-nested", "model-meta-nested",
-        "header-quoted-newline", "sigma-square-overflow"])
+        "npz-compression-method", "npz-bad-deflate", "npz-encrypted-flag", "config-nested",
+        "model-meta-nested", "header-quoted-newline", "sigma-square-overflow"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())

@@ -48,7 +48,6 @@ SET_DEFAULTS = {
     "symrep.qcqp_forward.gap_tol": "cli.run_grad_check filters at GRAD_CHECK_MIN_REL_GAP; the gate is DEFAULT_GAP_TOL",
     "symrep.qcqp_forward.decomp": "symrep.qcqp_jacobian_theta passes the decomposition it is given",
     "symrep.qcqp_jacobian_theta.decomp": "cli.run_grad_check passes its filter's decompositions",
-    "wahba.InputError.__init__.line": "wahba.InputError.at names the line of a file's fault",
 }
 
 # Private names one so3sym module imports from another, and why they are shared.

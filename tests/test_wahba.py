@@ -170,9 +170,8 @@ def test_large_accepted_weights_solve_like_unit_weights():
 def test_csv_errors_are_input_errors_naming_file(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("ux,uy,uz,vx,vy,vz,sigma\n1,0,0,1,0,0\n")
-    with pytest.raises(so3sym.InputError, match=r"bad\.csv: line 2: expected 7 columns") as exc:
+    with pytest.raises(so3sym.InputError, match=r"bad\.csv: line 2: expected 7 columns"):
         wahba.read_correspondences_csv(path)
-    assert exc.value.line == 2
 
 
 def test_noiseless_recovery():
@@ -269,9 +268,8 @@ def test_csv_roundtrip(tmp_path):
 def test_csv_malformed_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("ux,uy,uz,vx,vy,vz,sigma\n1,0,0,1,0,0,1\n1,0,0,nope,0,0,1\n")
-    with pytest.raises(so3sym.InputError) as exc:
+    with pytest.raises(so3sym.InputError, match=r"bad\.csv: line 3: "):
         wahba.read_correspondences_csv(path)
-    assert exc.value.line == 3
 
 
 def test_csv_bad_header(tmp_path):
