@@ -17,6 +17,7 @@ fresh wahba, avg or grad-check process starts without the training stack.
 import argparse
 import csv
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -26,7 +27,7 @@ import numpy as np
 from .averaging import chordal_mean, quat_mean, weight_fault
 from .so3 import d_ang, d_chord, d_quat, quat_to_rot
 from .symrep import (A_to_theta, DegenerateEigenspace, EigenDecomp4, qcqp_forward,
-                     qcqp_jacobian_theta, qcqp_solve, theta_to_A)
+                     qcqp_jacobian_theta, qcqp_solve)
 from .wahba import (
     CORRUPTIONS,
     InputError,
@@ -88,11 +89,12 @@ def run_grad_check(count=1000, seed=0, tolerance=1e-5, self_test=False):
 
     J_fd = np.zeros_like(J)
     theta0 = A_to_theta(A)
-    for k in range(10):
+    # theta_to_A(theta0 +- step e_k), bit for bit: theta entry k is A[i, j] and A[j, i].
+    for k, (i, j) in enumerate(zip(*np.triu_indices(4))):
+        Ak = A.copy()
         for sgn in (+1.0, -1.0):
-            th = theta0.copy()
-            th[:, k] += sgn * step
-            qk, _, _ = qcqp_forward(theta_to_A(th))
+            Ak[:, i, j] = Ak[:, j, i] = theta0[:, k] + sgn * step
+            qk, _, _ = qcqp_forward(Ak)
             align = np.where(np.sum(qk * q0, axis=-1) < 0, -1.0, 1.0)
             J_fd[:, :, k] += sgn * (qk * align[:, None]) / (2.0 * step)
 
@@ -303,6 +305,7 @@ def _bounded(kind, lo, hi=math.inf, lo_open=False):
     return parse
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one per process serves every main
 def build_parser():
     # The upper bounds of --count, --n and --mix follow nn.SIZE_BOUNDS: one flag at its bound,
     # with the rest at their defaults, peaks under 200 MB, so a typo cannot ask for gigabytes.

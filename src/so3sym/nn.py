@@ -20,6 +20,7 @@ raising. Everything is plain numpy and deterministic for a fixed seed.
 import functools
 import itertools
 import json
+import math
 import numbers
 import zipfile
 import zlib
@@ -29,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import so3
-from .bingham import _quantile, dt_classify, dt_fit
+from .bingham import _quantile, dispersion_trace, dt_classify, dt_fit
 from .symrep import qcqp_forward, qcqp_vjp, theta_to_A, theta_to_A_adjoint
 from .wahba import CORRUPTIONS, InputError, rng_for, sample_rotations
 
@@ -49,6 +50,12 @@ SIZE_BOUNDS = {"epochs": (0, 10_000), "trials": (1, 1000), "batch_rotations": (1
                "matches_per_rotation": (1, 1000), "test_rotations": (1, 10_000),
                "batches_per_epoch": (1, 1000), "hidden_widths": (1, 1024)}
 MAX_HIDDEN_LAYERS = 32
+
+# Largest sigma a config may set. sample_batch's "noise" corruption adds 100 sigma z, with
+# |z| < 14 from numpy's normal sampler (the Ziggurat tail stops at 3.66 + 36.8 / 3.66 for a
+# 53-bit uniform), and normalising sums three squares: 3 (1400 sigma)^2 ~ 6e206 at 1e100, far
+# below the float64 maximum 1.8e308. Past ~5e150 the squares overflow and v turns to zeros.
+MAX_SIGMA = 1e100
 
 DT_REFERENCE = 1000  # in-distribution samples dt_evaluate fits its threshold to by default
 
@@ -122,10 +129,7 @@ def backward(net, cache, grad_raw):
     for l in range(len(net.weights) - 1, -1, -1):
         a_prev, a = cache[l]
         if l < len(net.weights) - 1:  # g is a fresh product here, so scaling it in place is safe
-            up = a > 0
-            scale = np.multiply(~up, LEAKY_SLOPE)  # exactly LEAKY_SLOPE or 1.0, with no branches
-            scale += up
-            g *= scale
+            g *= np.where(a > 0, 1.0, LEAKY_SLOPE)
         grads[l] = (g.T @ a_prev, g.sum(axis=0))
         if l:  # the gradient wrt the net input is never used
             g = g @ net.weights[l]
@@ -306,12 +310,20 @@ def adam_init(params, lr):
 
 
 def adam_step(state, params, grads):
-    """One bias-corrected Adam update; mutates state, returns new params."""
+    """One bias-corrected Adam update; mutates state, returns new params.
+
+    The bias corrections are folded into the step size and epsilon, as in Kingma & Ba
+    (2015, section 2): p - lr_t m / (sqrt(v) + eps_t), with lr_t = lr sqrt(1 - b2^t) / (1 - b1^t)
+    and eps_t = eps sqrt(1 - b2^t). That is lr mhat / (sqrt(vhat) + eps) up to rounding.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params/grads/state length mismatch")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
+    root = math.sqrt(1 - b2 ** t)
+    lr_t = state.lr * root / (1 - b1 ** t)
+    eps_t = state.eps * root
     out = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         # m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g, in place
@@ -322,12 +334,10 @@ def adam_step(state, params, grads):
         s *= g
         v *= b2
         v += s
-        # p - lr mhat / (sqrt(vhat) + eps), with s as the denominator
-        np.divide(v, 1 - b2 ** t, out=s)
-        np.sqrt(s, out=s)
-        s += state.eps
-        step = np.divide(m, 1 - b1 ** t)
-        step *= state.lr
+        # p - lr_t m / (sqrt(v) + eps_t), with s as the denominator
+        np.sqrt(v, out=s)
+        s += eps_t
+        step = np.multiply(m, lr_t)
         step /= s
         out.append(np.subtract(p, step, out=step))
     return out
@@ -392,7 +402,8 @@ class TrainConfig:
                 "a finite [lo, hi] with 0 < lo <= hi")
         require("phi_max_deg", number(self.phi_max_deg) and 0.0 < self.phi_max_deg <= 180.0,
                 "in (0, 180]")
-        require("sigma", number(self.sigma) and 0.0 <= self.sigma < np.inf, "finite and >= 0")
+        require("sigma", number(self.sigma) and 0.0 <= self.sigma <= MAX_SIGMA,
+                f"in [0, {MAX_SIGMA:g}]")
         require("loss", self.loss in LOSSES, f"one of {LOSSES}")
         self.heads()
 
@@ -490,7 +501,7 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
     directions, so corruption cannot signal itself through amplitude).
     Corruptions model test-time OOD inputs: "noise" inflates sigma 100x,
     "shuffle" permutes the v_i against the u_i, "zero" blanks a random half
-    of the pairs.
+    of the pairs. Row k of x is (u_1, v_1, ..., u_m, v_m) of rotation k.
     """
     if corruption not in CORRUPTIONS:
         raise ValueError(f"unknown corruption {corruption!r}; choose from {CORRUPTIONS}")
@@ -498,17 +509,13 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
     m = cfg.matches_per_rotation
     R_gt, q_gt = sample_rotations(n, np.deg2rad(cfg.phi_max_deg), rng)
     ref = _fixed_reference_vectors(m)
-    u = np.broadcast_to(ref, (n, m, 3))
-    # v[n, m] = R_gt[n] @ ref[m] as (p0 + p2) + p1 over the products pj = R_gt[:, :, j] ref[:, j]:
-    # the values of einsum("nij,nmj->nmi", R_gt, u), which adds in that order, at a fraction of its cost.
-    cols = R_gt[:, None, :, :]
-    v = np.multiply(cols[..., 0], ref[:, 0, None])
-    p = np.multiply(cols[..., 2], ref[:, 2, None])
-    v += p
-    v += np.multiply(cols[..., 1], ref[:, 1, None], out=p)
+    x = np.empty((n, m, 6))
+    x[..., :3] = ref
+    v = x[..., 3:]
+    np.matmul(ref, np.swapaxes(R_gt, -1, -2), out=v)
     sigma = cfg.sigma * (100.0 if corruption == "noise" else 1.0)
     if sigma > 0:
-        noise = rng.standard_normal(out=p)
+        noise = rng.standard_normal((n, m, 3))
         noise *= sigma
         v += noise
     if corruption == "shuffle":
@@ -516,11 +523,8 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
     norm = np.linalg.norm(v, axis=-1, keepdims=True)
     v /= np.maximum(norm, 1e-12, out=norm)
     if corruption == "zero":
-        blank = rng.random((n, m)) < 0.5
-        u = np.where(blank[..., None], 0.0, u)
-        v[blank] = 0.0
-    x = np.concatenate([u, v], axis=-1).reshape(n, 6 * m)
-    return x, q_gt, R_gt
+        x[rng.random((n, m)) < 0.5] = 0.0
+    return x.reshape(n, 6 * m), q_gt, R_gt
 
 
 def _stats_row(trial, seed, lr, epoch, split, head, errs_deg):
@@ -534,15 +538,21 @@ def _stats_row(trial, seed, lr, epoch, split, head, errs_deg):
                     mean_deg=mean, median_deg=med, p10_deg=p10, p90_deg=p90)
 
 
+def _finite_forward(net, x, where):
+    """forward(net, x); a non-finite net output raises FloatingPointError naming `where`."""
+    raw, cache = forward(net, x)
+    if not np.isfinite(raw).all():
+        raise FloatingPointError(f"{where}: network output is not finite")
+    return raw, cache
+
+
 def _readout(net, head, x, where):
     """(cache, q, R, aux, valid) of a batch: forward's cache, then head_forward of its output.
 
     A non-finite net output raises FloatingPointError naming `where` before the
     head reads it.
     """
-    raw, cache = forward(net, x)
-    if not np.isfinite(raw).all():
-        raise FloatingPointError(f"{where}: network output is not finite")
+    raw, cache = _finite_forward(net, x, where)
     return cache, *head_forward(head, raw)
 
 
@@ -659,32 +669,36 @@ def dt_evaluate(net, cfg, q, corruption, rng, n_mix, n_reference=DT_REFERENCE):
 
     The threshold comes from n_reference fresh in-distribution samples
     (the training set is dynamically resampled, so these share its
-    distribution). Half the n_mix test samples are corrupted; q >= 1
-    disables rejection entirely (every sample kept, precision undefined).
-    A non-finite net output raises FloatingPointError naming the block.
+    distribution); their rotations are never read, so their traces come from
+    eigenvalues alone (bingham.dispersion_trace). Half the n_mix test samples
+    are corrupted; q >= 1 disables rejection entirely (every sample kept,
+    precision undefined). A non-finite net output raises FloatingPointError
+    naming the block.
     """
     if corruption not in CORRUPTIONS:
         raise ValueError(f"unknown corruption {corruption!r}; choose from {CORRUPTIONS}")
     n_corrupt = 0 if corruption == "none" else n_mix // 2
     n_clean = n_mix - n_corrupt
     # Reference, clean and corrupted blocks, drawn from rng in this order.
-    blocks = [(n_reference, "none", "reference"), (n_clean, "none", "clean")]
+    x, _, _ = sample_batch(cfg, rng, n_reference)
+    raw, _ = _finite_forward(net, x, "dt-eval reference block")
+    threshold = dt_fit(dispersion_trace(theta_to_A(raw)), min(q, 1.0))
+    blocks = [(n_clean, "none", "clean")]
     if n_corrupt:
         blocks.append((n_corrupt, corruption, "corrupted"))
-    traces, rotations = [], []
+    traces, errors = [], []
     for n, kind, name in blocks:
         x, _, R_gt = sample_batch(cfg, rng, n, corruption=kind)
         _, _, R, dec, _ = _readout(net, "A", x, f"dt-eval {name} block")
         traces.append(dec.dispersion_trace)
-        rotations.append((R, R_gt))
-    threshold = dt_fit(traces[0], min(q, 1.0))
-    mix = np.concatenate(traces[1:])
+        errors.append(np.rad2deg(so3.d_ang(R, R_gt)))
+    mix = np.concatenate(traces)
     kept = dt_classify(mix, threshold) if q < 1.0 else np.ones(n_mix, dtype=bool)
     return DTReport(q=q, corruption=corruption, threshold=threshold, traces=mix,
-                    errors_deg=np.concatenate([np.rad2deg(so3.d_ang(*r)) for r in rotations[1:]]),
-                    kept=kept, corrupted=np.arange(n_mix) >= n_clean,
-                    mean_trace_clean=float(np.mean(traces[1])),
-                    mean_trace_corrupted=float(np.mean(traces[2])) if n_corrupt else float("nan"))
+                    errors_deg=np.concatenate(errors), kept=kept,
+                    corrupted=np.arange(n_mix) >= n_clean,
+                    mean_trace_clean=float(np.mean(traces[0])),
+                    mean_trace_corrupted=float(np.mean(traces[1])) if n_corrupt else float("nan"))
 
 
 # ---------------------------------------------------------------------------

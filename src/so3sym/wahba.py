@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import canonicalize_quat, exp_map, quat_left_matrix, quat_right_matrix
+from .so3 import canonicalize_quat, quat_left_matrix, quat_right_matrix, quat_to_rot
 from .symrep import qcqp_solve
 
 
@@ -154,15 +154,15 @@ def sample_rotations(n, phi_max, rng):
     """(R, q): n rotations (n, 3, 3) and their canonical-sign quaternions (n, 4).
 
     Each turns by an angle U[0, phi_max) about a Gaussian-random axis; rng
-    draws the n axes, then the n angles.
+    draws the n axes, then the n angles. R is quat_to_rot(q), bit for bit.
     """
     a = sample_unit_sphere(n, rng)
     phi = rng.uniform(0.0, phi_max, n)
-    # The quaternion of phi about a; rot_to_quat(R) up to rounding.
     q = np.empty((n, 4))
     q[:, :3] = np.sin(0.5 * phi)[:, None] * a
     q[:, 3] = np.cos(0.5 * phi)
-    return exp_map(phi[:, None] * a), canonicalize_quat(q)
+    q = canonicalize_quat(q)
+    return quat_to_rot(q), q
 
 
 @np.errstate(over="ignore")  # noise that overflows fails Correspondences' checks, without warnings first

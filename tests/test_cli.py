@@ -304,6 +304,10 @@ _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the dat
      "q.csv: line 1: expected header x,y,z,w or x,y,z,w,weight, got ['x', 'y', 'z', 'w\\n-']"),
     ({"pairs.csv": _PAIRS + "0,1,0,0,1,0,1e155\n"}, ["wahba", "{d}/pairs.csv"], 2,
      "pairs.csv: line 3: sigma 1e+155 is too large: sigma^2 overflows"),
+    ({"cfg.json": '{"sigma": 1e200, "epochs": 1, "trials": 1}'}, _TRAIN, 2,
+     "cfg.json: sigma must be in [0, 1e+100], got 1e+200"),
+    ({"cfg.json": '{"sigma": 1e308, "epochs": 1, "trials": 1}'}, _TRAIN, 2,
+     "cfg.json: sigma must be in [0, 1e+100], got 1e+308"),
 ], ids=["seed-neg", "epochs-float", "trials-float", "config-list", "head-empty", "quat-loss-6d",
         "head-repeated", "widths-text", "sigma-text", "diverge-quat", "diverge-6d", "diverge-A",
         "out-is-file", "weight-overflow", "csv-binary", "npz-not-zip", "npz-empty", "npz-pickled",
@@ -315,7 +319,8 @@ _OVERFLOW = _PAIRS + "0,1,0,0,1,0,1e-154\n"  # weight 1e308: finite, but the dat
         "synthetic-sigma-large", "pair-overflow-sigma-1", "pair-overflow-sigma-1e200", "avg-empty",
         "wahba-comment-only", "sigma-zero", "sigma-negative", "config-unknown-key",
         "npz-compression-method", "npz-bad-deflate", "npz-encrypted-flag", "config-nested",
-        "model-meta-nested", "header-quoted-newline", "sigma-square-overflow"])
+        "model-meta-nested", "header-quoted-newline", "sigma-square-overflow", "train-sigma-1e200",
+        "train-sigma-1e308"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, files, argv, code, named):
     for name, content in files.items():
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
@@ -461,6 +466,33 @@ def test_grad_check_decomposes_each_matrix_once(monkeypatch):
     assert calls[-20:] == [(50, 4, 4)] * 20
 
 
+def test_grad_check_probes_are_theta_to_A_of_each_perturbed_theta(monkeypatch):
+    kept, probes = [], []
+    original = cli.qcqp_forward
+
+    def captured(A, **kwargs):
+        out = original(A, **kwargs)
+        if kwargs:  # the sampling filter
+            kept.append(A[out[2]])
+        else:  # a finite-difference probe; run_grad_check writes its next probe into A
+            probes.append(A.copy())
+        return out
+
+    monkeypatch.setattr(cli, "qcqp_forward", captured)
+    cli.run_grad_check(count=50, seed=3)
+    theta = symrep.A_to_theta(np.concatenate(kept)[:50])
+    step = 1e-5
+    expected = []
+    for k in range(10):
+        for sgn in (+1.0, -1.0):
+            th = theta.copy()
+            th[:, k] += sgn * step
+            expected.append(symrep.theta_to_A(th))
+    assert len(probes) == 20
+    for got, want in zip(probes, expected):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_wahba_requires_one_source(tmp_path, capsys):
     code, _, err = run(capsys, "wahba")
     assert code == 2
@@ -516,6 +548,20 @@ def test_train_reports_degenerate_training_samples(tmp_path, capsys, monkeypatch
     assert out.splitlines()[-1] == "degenerate training samples skipped: 240"
     rows = [l.split(",") for l in (tmp_path / "out" / "results.csv").read_text().splitlines()[2:]]
     assert len(rows) == 2 * 2 * 3 and all(r[6:] == ["nan"] * 4 for r in rows)
+
+
+def test_main_calls_in_one_process_each_read_their_own_arguments(tmp_path, capsys):
+    """main parses with one parser per process; a flag one call sets does not reach the next."""
+    cfg = tmp_path / "cfg.json"  # no seed key, so --seed fills it in
+    cfg.write_text(json.dumps({"epochs": 0, "head": "quat", "trials": 1, "hidden_widths": [4],
+                               "test_rotations": 5}))
+    assert cli.build_parser() is cli.build_parser()
+    for flags, seed, out in [(["--seed", 4], "4", "a"), ([], "0", "b"), (["--seed", 6], "6", "c")]:
+        code, stdout, _ = run(capsys, *flags, "--out", tmp_path / out, "train", cfg)
+        assert code == 0
+        assert stdout.splitlines()[0] == f"wrote {tmp_path / out / 'results.csv'} (2 rows)"
+        rows = [l.split(",") for l in (tmp_path / out / "results.csv").read_text().splitlines()[2:]]
+        assert {r[1] for r in rows} == {seed}
 
 
 def test_train_rerun_identical(tmp_path, capsys):

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from so3sym import nn, so3, symrep
+from so3sym import bingham, nn, so3, symrep
 
 from util import (adam_step_reference, backward_reference, forward_reference, is_rotation,
                   random_rotations, sample_batch_reference, write_model, write_model_with_bare_header,
@@ -369,6 +369,17 @@ def test_train_config_range_checked(key, value):
         small_cfg(**{key: value})
 
 
+def test_sigma_bound_keeps_the_noisiest_batch_finite():
+    bad = r"^sigma must be in \[0, 1e\+100\], got 1\.0000000000000002e\+100$"
+    with pytest.raises(nn.InputError, match=bad):
+        small_cfg(sigma=float(np.nextafter(nn.MAX_SIGMA, np.inf)))
+    cfg = small_cfg(sigma=nn.MAX_SIGMA)
+    with np.errstate(all="raise"):
+        x, _, _ = nn.sample_batch(cfg, np.random.default_rng(0), 2000, "noise")
+    v = x.reshape(2000, -1, 6)[..., 3:]
+    assert np.abs(np.linalg.norm(v, axis=-1) - 1.0).max() < 1e-15
+
+
 @pytest.mark.parametrize("key, value", [
     ("seed", -1), ("seed", 1.0), ("epochs", 1.5), ("trials", True), ("hidden_widths", "ab"),
     ("hidden_widths", (64, 2.0)), ("lr", "x"), ("lr_range", "ab"), ("sigma", "x"),
@@ -648,6 +659,25 @@ def test_dt_evaluate_report():
     rep_all = nn.dt_evaluate(trial.net, cfg, 1.0, "noise", np.random.default_rng(8), n_mix=100)
     assert rep_all.kept_fraction == 1.0
     assert rep_all.precision is None
+
+
+def test_dt_evaluate_threshold_reads_reference_eigenvalues_alone():
+    cfg = small_cfg(epochs=2, phi_max_deg=180.0)
+    net = nn.train_single(cfg, "A").net
+    rep = nn.dt_evaluate(net, cfg, 0.6, "noise", np.random.default_rng(10), n_mix=40, n_reference=300)
+    x, _, _ = nn.sample_batch(cfg, np.random.default_rng(10), 300)  # the first block drawn
+    raw, _ = nn.forward(net, x)
+    traces = bingham.dispersion_trace(symrep.theta_to_A(raw))
+    assert rep.threshold == bingham.dt_fit(traces, 0.6)
+
+
+def test_dt_evaluate_names_a_non_finite_reference_block():
+    cfg = small_cfg(hidden_widths=(8,))
+    net = nn.init_net(nn.layer_dims(cfg, "A"), np.random.default_rng(0))
+    net.weights = [1e200 * W for W in net.weights]
+    with pytest.raises(FloatingPointError,
+                       match="^dt-eval reference block: network output is not finite$"):
+        nn.dt_evaluate(net, cfg, 0.75, "noise", np.random.default_rng(0), n_mix=10)
 
 
 def test_dt_report_precision_is_zero_when_nothing_is_rejected():

@@ -24,6 +24,7 @@ SRC = ROOT / "src" / "so3sym"
 # Public names nothing in src/ or benchmarks/ calls, kept as library API.
 LIBRARY_API = {
     "so3.quat_conj": "quaternion inverse, the other half of that convention",
+    "so3.exp_map": "rotation of an axis-angle vector, the inverse of log_map",
     "so3.log_map": "axis-angle of a rotation, the inverse of exp_map",
     "so3.random_quats": "uniform rotations on S^3",
     "symrep.smooth_section": "smoothness claim: the smooth global right-inverse q -> I - q q^T",
