@@ -5,16 +5,15 @@ Conventions:
   as the pure quaternion (p, 0).
 - Rotation matrices act on column vectors, v' = R @ v, and satisfy
   R(q) p = vec(q * p_hat * q^-1) for unit q (Hamilton product).
-- Axis-angle vectors phi have magnitude = rotation angle in radians.
+- Axis-angle vectors phi have magnitude = rotation angle in radians. exp_map
+  and log_map are the quaternion exp and log, composed with quat_to_rot and
+  rot_to_quat; axis_angle_to_quat is the one half-angle rule.
 
 Most functions broadcast over leading batch dimensions: quaternions are
 (..., 4), rotations (..., 3, 3), axis-angle (..., 3).
 """
 
 import numpy as np
-
-# Below this rotation angle, exp_map switches to second-order Taylor branches.
-SMALL_ANGLE = 1e-7
 
 _EYE4 = np.eye(4)
 
@@ -124,31 +123,22 @@ def rot_to_quat(R):
     return canonicalize_quat(normalize_quat(q))
 
 
-def skew(v):
-    """3-vector -> cross-product matrix, skew(v) @ u = v x u."""
-    v = _as_farray(v, "vector", (3,))
-    K = np.zeros(v.shape + (3,))
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    K[..., 0, 1], K[..., 0, 2] = -z, y
-    K[..., 1, 0], K[..., 1, 2] = z, -x
-    K[..., 2, 0], K[..., 2, 1] = -y, x
-    return K
+def axis_angle_to_quat(axis, angle):
+    """Unit axis (..., 3) and angle (...) in radians -> quaternion (sin(angle/2) axis, cos(angle/2))."""
+    axis = _as_farray(axis, "axis", (3,))
+    half = 0.5 * np.asarray(angle, dtype=float)
+    xyz = np.sin(half)[..., None] * axis
+    q = np.empty(xyz.shape[:-1] + (4,))
+    q[..., :3] = xyz
+    q[..., 3] = np.cos(half)
+    return q
 
 
 def exp_map(phi):
-    """Axis-angle vector -> rotation matrix (Rodrigues, Taylor near zero)."""
-    phi = _as_farray(phi, "axis-angle", (3,))
+    """Axis-angle vector -> rotation matrix: quat_to_rot of the half-angle quaternion."""
+    phi = _as_farray(phi, "axis-angle", (3,)) + 0.0  # -0.0 -> +0.0: any zero vector gives exactly I
     theta = np.linalg.norm(phi, axis=-1)
-    K = skew(phi)
-    K2 = K @ K
-    t2 = theta * theta
-    small = theta < SMALL_ANGLE
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / np.where(small, 1.0, theta))
-        b = np.where(small, 0.5 - t2 / 24.0,
-                     (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    return eye + a[..., None, None] * K + b[..., None, None] * K2
+    return quat_to_rot(axis_angle_to_quat(phi / np.where(theta > 0, theta, 1.0)[..., None], theta))
 
 
 def _vee(M):

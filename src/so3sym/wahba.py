@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import canonicalize_quat, quat_left_matrix, quat_right_matrix, quat_to_rot
+from .so3 import axis_angle_to_quat, quat_left_matrix, quat_right_matrix, quat_to_rot
 from .symrep import qcqp_solve
 
 
@@ -158,10 +158,9 @@ def sample_rotations(n, phi_max, rng):
     """
     a = sample_unit_sphere(n, rng)
     phi = rng.uniform(0.0, phi_max, n)
-    q = np.empty((n, 4))
-    q[:, :3] = np.sin(0.5 * phi)[:, None] * a
-    q[:, 3] = np.cos(0.5 * phi)
-    q = canonicalize_quat(q)
+    # Canonical as built: phi <= phi_max <= pi, so w = cos(phi / 2) > 0; even cos(fl(pi) / 2)
+    # is 6.1e-17, and np.deg2rad(180.0) == np.pi.
+    q = axis_angle_to_quat(a, phi)
     return quat_to_rot(q), q
 
 

@@ -135,6 +135,16 @@ def test_quat_mean_empty():
         averaging.quat_mean(np.zeros((0, 4)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: averaging.inertia_matrix(np.zeros((3, 3))),
+     r"^expected an \(N, 4\) array of quaternions, got \(3, 3\)$"),
+    (lambda: averaging.chordal_mean(np.zeros((0, 4))), "^chordal_mean requires at least one quaternion$"),
+], ids=["not-n-by-4", "chordal-empty"])
+def test_bad_input_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_inertia_matrix_rejects_negative_weights():
     with pytest.raises(ValueError, match="^quaternion 1: weight must be >= 0, got -1.0$"):
         averaging.inertia_matrix([[0, 0, 0, 1.0], [1.0, 0, 0, 0]], [1.0, -1.0])

@@ -692,6 +692,28 @@ def test_dt_report_precision_is_zero_when_nothing_is_rejected():
     assert report(0.75, [False] * 4).precision is None
 
 
+def test_dt_report_mean_error_kept_is_nan_when_nothing_is_kept():
+    rep = nn.DTReport(q=0.75, corruption="noise", threshold=0.0, traces=np.zeros(4),
+                      errors_deg=np.ones(4), kept=np.zeros(4, dtype=bool),
+                      corrupted=np.array([False, False, True, True]), mean_trace_clean=0.0,
+                      mean_trace_corrupted=0.0)
+    assert np.isnan(rep.mean_error_kept) and rep.mean_error_full == 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nn.loss_eval("bogus", None, None, None, None), "^unknown loss 'bogus'$"),
+    (lambda: nn.adam_step(nn.adam_init([np.zeros(2)], 0.1), [np.zeros(2)], []),
+     "^params/grads/state length mismatch$"),
+    (lambda: nn.dt_evaluate(None, None, 0.75, "bogus", None, 10),
+     r"^unknown corruption 'bogus'; choose from \('none', "),
+    (lambda: nn.last_layer_decompose(np.zeros((10, 3)), np.zeros(9), np.zeros(3)),
+     r"^b must be a 10-vector, got \(9,\)$"),
+], ids=["loss_eval", "adam_step", "dt_evaluate", "last_layer_decompose"])
+def test_bad_argument_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_dt_evaluate_clean_calibration():
     cfg = small_cfg(epochs=4)
     trial = nn.train_single(cfg, "A")

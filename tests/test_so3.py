@@ -5,7 +5,7 @@ import pytest
 
 from so3sym import so3
 
-from util import hamilton_reference, is_rotation, random_rotations
+from util import hamilton_reference, is_rotation, random_rotations, rodrigues_reference
 
 
 def test_quat_to_rot_identity():
@@ -269,13 +269,57 @@ def test_quat_to_rot_matches_stacked_reference(shape):
     assert np.array_equal(R, _quat_to_rot_reference(q))
 
 
-def test_skew_equals_stacked_rows_bit_for_bit():
-    v = np.random.default_rng(50).standard_normal((6, 5, 3))
-    v[0, 0] = [0.0, -0.0, 0.0]
-    v[0, 1] = [-0.0, -0.0, -0.0]
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    ref = np.stack([np.stack(r, axis=-1) for r in [[zero, -z, y], [z, zero, -x], [-y, x, zero]]], axis=-2)
-    for got, want in ((so3.skew(v), ref), (so3.skew(v[2, 3]), ref[2, 3])):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert np.allclose(so3.skew(v[1, 2]) @ v[3, 4], np.cross(v[1, 2], v[3, 4]))
+def _axis_angle(angles, seed):
+    axis = np.random.default_rng(seed).standard_normal((len(angles), 3))
+    return axis * (angles / np.linalg.norm(axis, axis=-1))[:, None]
+
+
+def test_exp_map_is_quat_to_rot_of_the_half_angle_quaternion():
+    phi = _axis_angle(np.random.default_rng(60).uniform(0.0, np.pi, 1000), 61)
+    theta = np.linalg.norm(phi, axis=-1)
+    want = so3.quat_to_rot(so3.axis_angle_to_quat(phi / theta[:, None], theta))
+    assert so3.exp_map(phi).tobytes() == want.tobytes()
+    assert so3.exp_map(phi[7]).tobytes() == want[7].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (5,)], ids=str)
+@pytest.mark.parametrize("zero", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]],
+                         ids=["+0", "mixed", "-0"])
+def test_exp_map_of_zero_is_exactly_the_identity(shape, zero):
+    R = so3.exp_map(np.broadcast_to(zero, shape + (3,)))
+    assert R.tobytes() == np.broadcast_to(np.eye(3), shape + (3, 3)).tobytes()  # no -0.0
+
+
+@pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+def test_exp_map_of_tiny_vectors_is_a_rotation(tiny):
+    phi = tiny * np.array([[1.0, 0.0, 0.0], [1.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
+    R = so3.exp_map(phi)
+    assert np.isfinite(R).all() and is_rotation(R, tol=1e-15)
+
+
+@pytest.mark.parametrize("angles", [
+    np.random.default_rng(62).uniform(0.0, np.pi, 5000),
+    10.0 ** np.random.default_rng(63).uniform(-20.0, -6.0, 5000),
+    np.pi - 10.0 ** np.random.default_rng(64).uniform(-16.0, -4.0, 5000),
+], ids=["uniform", "1e-20..1e-6", "pi-1e-16..pi-1e-4"])
+def test_exp_map_within_2e_15_of_rodrigues(angles):
+    phi = _axis_angle(angles, 65)
+    assert np.abs(so3.exp_map(phi) - rodrigues_reference(phi)).max() <= 2e-15
+
+
+def test_axis_angle_to_quat_broadcasts_the_half_angle():
+    axis = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+    q = so3.axis_angle_to_quat(axis, np.array([np.pi, 0.5]))
+    assert q.shape == (2, 4)
+    assert q[1].tobytes() == np.array([*(np.sin(0.25) * axis[1]), np.cos(0.25)]).tobytes()
+    assert so3.axis_angle_to_quat(axis[1], np.zeros(3)).shape == (3, 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: so3.quat_to_rot(np.zeros(3)), r"^quaternion must have trailing shape \(4,\), got \(3,\)$"),
+    (lambda: so3.exp_map(np.zeros((2, 4))), r"^axis-angle must have trailing shape \(3,\), got \(2, 4\)$"),
+    (lambda: so3.axis_angle_to_quat(np.zeros(4), 1.0), r"^axis must have trailing shape \(3,\)"),
+], ids=["quat_to_rot", "exp_map", "axis_angle_to_quat"])
+def test_shape_errors_name_the_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -126,6 +126,20 @@ def test_symeig4_rejects_bad_input():
         symrep.symeig4(bad)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: symrep.theta_to_A(np.zeros(9)), r"^theta must have trailing dimension 10, got \(9,\)$"),
+    (lambda: symrep.A_to_theta(np.zeros((3, 3))), r"^A must have trailing shape \(4, 4\), got \(3, 3\)$"),
+    (lambda: symrep.symeig4(np.zeros((2, 3, 3))), r"^expected trailing shape \(4, 4\), got \(2, 3, 3\)$"),
+    (lambda: symrep.qcqp_solve(np.stack([np.eye(4)] * 2)),
+     r"^expected a single \(4, 4\) matrix, got \(2, 4, 4\)$"),
+    (lambda: symrep.smooth_section(np.zeros(3)),
+     r"^quaternion must have trailing dimension 4, got \(3,\)$"),
+], ids=["theta_to_A", "A_to_theta", "symeig4", "qcqp_solve", "smooth_section"])
+def test_shape_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_symeig4_eigengap_field():
     dec = symrep.symeig4(np.diag([0.0, 0.5, 2.0, 3.0]))
     assert np.isclose(dec.eigengap, 0.5)

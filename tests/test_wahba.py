@@ -205,6 +205,20 @@ def test_synthetic_determinism():
     assert np.array_equal(c1.sigma, c2.sigma)
 
 
+@pytest.mark.parametrize("phi_max", [np.pi, np.deg2rad(180.0)], ids=["pi", "deg2rad-180"])
+def test_sample_rotations_are_canonical_as_built(phi_max):
+    # phi < phi_max <= pi gives w = cos(phi / 2) > 0, so no sign flip is needed.
+    R, q = wahba.sample_rotations(100_000, phi_max, rng_for(24))
+    rng = rng_for(24)
+    a = wahba.sample_unit_sphere(100_000, rng)
+    phi = rng.uniform(0.0, phi_max, 100_000)
+    assert q.tobytes() == np.concatenate([np.sin(0.5 * phi)[:, None] * a, np.cos(0.5 * phi)[:, None]],
+                                         axis=-1).tobytes()
+    assert np.all(q[:, 3] > 0)
+    assert so3.canonicalize_quat(q).tobytes() == q.tobytes()
+    assert R.tobytes() == so3.quat_to_rot(q).tobytes()
+
+
 def test_synthetic_angle_bound():
     phi_max = 0.7
     for seed in range(30):

@@ -15,6 +15,22 @@ def random_rotations(n, rng):
     return so3.quat_to_rot(q), q
 
 
+def rodrigues_reference(phi):
+    """exp of axis-angle phi by Rodrigues' formula I + a K + b K^2, K the cross-product matrix
+    of phi, a = sin(t)/t and b = (1 - cos t)/t^2 at t = |phi|, with their second-order Taylor
+    series below t = 1e-7."""
+    phi = np.asarray(phi, dtype=float)
+    x, y, z = phi[..., 0], phi[..., 1], phi[..., 2]
+    zero = np.zeros_like(x)
+    K = np.stack([np.stack(r, axis=-1) for r in [[zero, -z, y], [z, zero, -x], [-y, x, zero]]], axis=-2)
+    t = np.linalg.norm(phi, axis=-1)
+    small = t < 1e-7
+    ts = np.where(small, 1.0, t)
+    a = np.where(small, 1.0 - t * t / 6.0, np.sin(ts) / ts)
+    b = np.where(small, 0.5 - t * t / 24.0, (1.0 - np.cos(ts)) / (ts * ts))
+    return np.eye(3) + a[..., None, None] * K + b[..., None, None] * (K @ K)
+
+
 def is_rotation(R, tol=1e-10):
     """Check R^T R = I and det R = 1 within tol (Frobenius)."""
     R = np.asarray(R, dtype=float)
