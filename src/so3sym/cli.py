@@ -72,13 +72,16 @@ def run_grad_check(count=1000, seed=0, tolerance=1e-5, self_test=False):
     rng = rng_for(seed, 101)
     step = 1e-5
     # Keep the filter's decomposition of every kept matrix: symeig4 is per-matrix
-    # deterministic, so it equals a fresh decomposition of A.
-    parts = []
-    while sum(len(p[0]) for p in parts) < count:
-        batch = rng.standard_normal((max(64, count), 4, 4))
+    # deterministic, so it equals a fresh decomposition of A. A refill draws only
+    # the shortfall; the draws are sequential, so the kept matrices are those that
+    # whole max(64, count) batches would give.
+    parts, kept = [], 0
+    while kept < count:
+        batch = rng.standard_normal((max(64, count - kept), 4, 4))
         batch = 0.5 * (batch + np.swapaxes(batch, -1, -2))
         _, dec, keep = qcqp_forward(batch, gap_tol=GRAD_CHECK_MIN_REL_GAP)
         parts.append((batch[keep], dec.lambdas[keep], dec.vectors[keep]))
+        kept += np.count_nonzero(keep)
     A, lam0, vec0 = (np.concatenate(col)[:count] for col in zip(*parts))
     dec0 = EigenDecomp4(lam0, vec0)
     q0 = vec0[..., 0]  # qcqp_forward's q*: column 0 of the decomposition

@@ -500,8 +500,9 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
     v_i = R u_i + sigma * eps, unit-normalized afterwards (observations are
     directions, so corruption cannot signal itself through amplitude).
     Corruptions model test-time OOD inputs: "noise" inflates sigma 100x,
-    "shuffle" permutes the v_i against the u_i, "zero" blanks a random half
-    of the pairs. Row k of x is (u_1, v_1, ..., u_m, v_m) of rotation k.
+    "shuffle" permutes the v_i against the u_i (whole vectors, one permutation
+    per rotation), "zero" blanks a random half of the pairs. Row k of x is
+    (u_1, v_1, ..., u_m, v_m) of rotation k.
     """
     if corruption not in CORRUPTIONS:
         raise ValueError(f"unknown corruption {corruption!r}; choose from {CORRUPTIONS}")
@@ -509,19 +510,30 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
     m = cfg.matches_per_rotation
     R_gt, q_gt = sample_rotations(n, np.deg2rad(cfg.phi_max_deg), rng)
     ref = _fixed_reference_vectors(m)
-    x = np.empty((n, m, 6))
-    x[..., :3] = ref
-    v = x[..., 3:]
-    np.matmul(ref, np.swapaxes(R_gt, -1, -2), out=v)
+    # R u of the whole batch is one (3n, 3) @ (3, m) GEMM, not a 3x3 product per rotation;
+    # v gets its own contiguous buffer, so noise, norm and divide walk it unstrided, and it
+    # is written into x once, at the end.
+    Ru = (R_gt.reshape(3 * n, 3) @ ref.T).reshape(n, 3, m).transpose(0, 2, 1)
     sigma = cfg.sigma * (100.0 if corruption == "noise" else 1.0)
     if sigma > 0:
-        noise = rng.standard_normal((n, m, 3))
-        noise *= sigma
-        v += noise
+        v = rng.standard_normal((n, m, 3))
+        v *= sigma
+        v += Ru
+    else:
+        v = Ru.copy()
+    del Ru
     if corruption == "shuffle":
-        rng.permuted(v, axis=1, out=v)
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    v /= np.maximum(norm, 1e-12, out=norm)
+        order = rng.permuted(np.broadcast_to(np.arange(m), (n, m)), axis=1)
+        v = np.take_along_axis(v, order[..., None], axis=1)
+    # |v|^2 summed in np.linalg.norm's order, so to its bits, without its slow reduce
+    # over an axis of length 3.
+    norm = np.square(v[..., :1]) + np.square(v[..., 1:2])
+    norm += np.square(v[..., 2:])
+    v /= np.maximum(np.sqrt(norm, out=norm), 1e-12, out=norm)
+    del norm
+    x = np.empty((n, m, 6))
+    x[..., :3] = ref
+    x[..., 3:] = v
     if corruption == "zero":
         x[rng.random((n, m)) < 0.5] = 0.0
     return x.reshape(n, 6 * m), q_gt, R_gt

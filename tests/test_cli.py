@@ -466,6 +466,38 @@ def test_grad_check_decomposes_each_matrix_once(monkeypatch):
     assert calls[-20:] == [(50, 4, 4)] * 20
 
 
+def test_grad_check_refill_draws_only_its_shortfall(monkeypatch):
+    calls, kept = [], []
+    original_eig, original_forward = symrep.symeig4, cli.qcqp_forward
+
+    def counted(A):
+        calls.append(np.shape(A))
+        return original_eig(A)
+
+    def captured(A, **kwargs):
+        out = original_forward(A, **kwargs)
+        if kwargs:  # the sampling filter
+            kept.append(A[out[2]])
+        return out
+
+    monkeypatch.setattr(symrep, "symeig4", counted)
+    monkeypatch.setattr(cli, "qcqp_forward", captured)
+    count = 1000
+    assert cli.run_grad_check(count=count, seed=0)["passed"]
+    # The first batch keeps 999 of its 1000 matrices, so the refill is one 64-matrix batch.
+    assert len(kept[0]) == count - 1
+    assert calls[:-20] == [(count, 4, 4), (64, 4, 4)]
+    # The kept matrices are those that whole max(64, count) batches give.
+    rng, whole = cli.rng_for(0, 101), []
+    while sum(map(len, whole)) < count:
+        batch = rng.standard_normal((max(64, count), 4, 4))
+        batch = 0.5 * (batch + np.swapaxes(batch, -1, -2))
+        _, _, keep = original_forward(batch, gap_tol=cli.GRAD_CHECK_MIN_REL_GAP)
+        whole.append(batch[keep])
+    got, want = np.concatenate(kept)[:count], np.concatenate(whole)[:count]
+    assert got.tobytes() == want.tobytes()
+
+
 def test_grad_check_probes_are_theta_to_A_of_each_perturbed_theta(monkeypatch):
     kept, probes = [], []
     original = cli.qcqp_forward

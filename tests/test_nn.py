@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -773,6 +774,37 @@ def test_sample_batch_leaves_reference_vectors_intact():
     assert np.array_equal(x, x2)
     x3, _, _ = nn.sample_batch(cfg, np.random.default_rng(34), 4)
     assert np.array_equal(x3.reshape(4, 7, 6)[..., :3], np.broadcast_to(nn.reference_vectors(7), (4, 7, 3)))
+
+
+def test_sample_batch_shuffle_permutes_whole_pairs():
+    # With sigma = 0 both batches draw the same rotations and no noise, so each shuffled row
+    # must hold the clean row's v_i as a set, and the u half must be untouched.
+    cfg = nn.TrainConfig(sigma=0.0)
+    n, m = 50, cfg.matches_per_rotation
+    clean, _, R = nn.sample_batch(cfg, np.random.default_rng(35), n)
+    shuffled, _, R_s = nn.sample_batch(cfg, np.random.default_rng(35), n, corruption="shuffle")
+    assert np.array_equal(R, R_s)
+    clean, shuffled = clean.reshape(n, m, 6), shuffled.reshape(n, m, 6)
+    assert np.array_equal(clean[..., :3], shuffled[..., :3])
+    for row, row_s in zip(clean[..., 3:], shuffled[..., 3:]):
+        assert np.array_equal(np.unique(row, axis=0), np.unique(row_s, axis=0))
+    assert not np.array_equal(clean, shuffled)
+
+
+@pytest.mark.parametrize("corruption", nn.CORRUPTIONS)
+def test_sample_batch_peak_memory_is_at_most_thirteen_floats_per_pair(corruption):
+    # x is 6 floats per pair (u, v); v is built in its own 3-float buffer, and no second
+    # full-size temporary may be alive next to x.
+    cfg = nn.TrainConfig()
+    n, m = 2000, cfg.matches_per_rotation
+    nn.sample_batch(cfg, np.random.default_rng(0), n, corruption)  # fills the reference-vector cache
+    tracemalloc.start()
+    try:
+        nn.sample_batch(cfg, np.random.default_rng(0), n, corruption)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * n * m * np.dtype(float).itemsize
 
 
 def test_leaky_relu_matches_where_reference():

@@ -277,6 +277,7 @@ def sample_batch_reference(cfg, rng, n, corruption="none"):
 
     R_gt is quat_to_rot(q_gt) of the half-angle quaternion; the u block is
     reference_vectors(m); v = R u is checked within ULPS_OF_ONE ulps of 1 of einsum's sum.
+    shuffle draws one permutation of the m whole vectors v_i per rotation, in rotation order.
     """
     from so3sym import nn
     m = cfg.matches_per_rotation
@@ -294,7 +295,7 @@ def sample_batch_reference(cfg, rng, n, corruption="none"):
     if sigma > 0:
         v = v + sigma * rng.standard_normal(v.shape)
     if corruption == "shuffle":
-        v = rng.permuted(v, axis=1)
+        v = np.stack([v[k, rng.permutation(m)] for k in range(n)])
     v = v / np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-12)
     if corruption == "zero":
         blank = rng.random((n, m)) < 0.5
