@@ -45,9 +45,12 @@ DT_SCHEMA = "# so3sym-dt v1"
 # grad-check draws matrices whose eigengap is at least this times max(1, ||A||_F).
 GRAD_CHECK_MIN_REL_GAP = 1e-2
 
-# dt-eval holds (nn.DT_REFERENCE reference + --mix) samples, each as wide as the model's input
+# dt-eval draws (nn.DT_REFERENCE reference + --mix) samples, each as wide as the model's input
 # plus its layer widths; this bound on their product keeps a run under 200 MB of memory, both
-# with the default config and with matches_per_rotation 1000.
+# with the default config and with matches_per_rotation 1000. The samples are scored a block at
+# a time (reference, clean, corrupted), and a block's pass holds its input and two adjacent
+# layers; the reference input goes once the first layer has run, before the mix is drawn. At
+# the bound the runs peak at 137 MB (default config) and 127 MB (matches_per_rotation 1000).
 DT_EVAL_BUDGET = 15_000_000
 
 

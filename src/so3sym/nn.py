@@ -40,12 +40,22 @@ LOSSES = ("quat", "chord", "ang")
 
 LEAKY_SLOPE = 0.01
 
+# Rows per block of the in-place leaky ReLU and its backward mask. Each pass holds one scratch
+# block of _ROW_BLOCK x width floats instead of a second full-size activation: 128 KiB at the
+# default 128-wide layer, which stays in cache and, unlike a fresh 2000-row temporary, does
+# not page-fault on every call. A 100-row training batch is still one block. Blocking keeps
+# every bit, since both passes are elementwise.
+_ROW_BLOCK = 128
+
 # Inclusive (lo, hi) of the integer config keys; hidden_widths bounds each entry, and
 # MAX_HIDDEN_LAYERS their count. The upper bounds keep a typo from asking for gigabytes: with
 # one key at its bound and the others at their defaults, a one-epoch run peaks under 200 MB
 # (several keys at their bounds still can ask for more). train holds one net at a time, so
-# trials costs no memory. Measured peaks: trials 1000 with epochs 0, 44 MB; hidden_widths
-# [128] * 32 with epochs 1, 69 MB, and with epochs 0, head A and 30 trials, 52 MB.
+# trials costs no memory. A training step holds every layer's output for backward, plus one
+# row block (_ROW_BLOCK) for the leaky ReLU and its mask; scoring (test sets, dt-eval) holds
+# no cache, only two adjacent layers at a time. Measured peaks: trials 1000 with epochs 0,
+# 42 MB; hidden_widths [128] * 32 with epochs 1, 63 MB, and with epochs 0, head A and 30
+# trials, 54 MB.
 SIZE_BOUNDS = {"epochs": (0, 10_000), "trials": (1, 1000), "batch_rotations": (1, 10_000),
                "matches_per_rotation": (1, 1000), "test_rotations": (1, 10_000),
                "batches_per_epoch": (1, 1000), "hidden_widths": (1, 1024)}
@@ -99,21 +109,63 @@ def init_net(dims, rng):
     return DenseNet(weights, biases)
 
 
-def forward(net, x):
-    """Run the net on a (B, d_0) batch; returns (raw, cache) with what backward needs."""
+def _row_blocks(z):
+    """(rows, scratch) for each _ROW_BLOCK-row slice of a 2-D z; every scratch is a view of one
+    buffer, shaped like z[rows]."""
+    buf = np.empty((min(len(z), _ROW_BLOCK), z.shape[1]))
+    for i in range(0, len(z), _ROW_BLOCK):
+        yield slice(i, i + _ROW_BLOCK), buf[:len(z) - i]
+
+
+def _leaky_relu_(z):
+    """z = max(z, LEAKY_SLOPE z) in place, a row block at a time."""
+    for rows, s in _row_blocks(z):
+        r = z[rows]
+        np.multiply(r, LEAKY_SLOPE, out=s)
+        np.maximum(r, s, out=r)
+
+
+def _layer(a, W, b, hidden):
+    """One dense layer on a (B, d_in) batch: a @ W.T + b, leaky-ReLU'd in place if hidden."""
+    z = a @ W.T
+    z += b
+    if hidden:
+        _leaky_relu_(z)
+    return z
+
+
+def _net_input(net, x):
     a = np.asarray(x, dtype=float)
     d_0 = net.weights[0].shape[1]
     if a.ndim != 2 or a.shape[1] != d_0:
         raise ValueError(f"input shape {a.shape} is not (B, {d_0})")
+    return a
+
+
+def forward(net, x):
+    """Run the net on a (B, d_0) batch; returns (raw, cache) with what backward needs."""
+    a = _net_input(net, x)
+    last = len(net.weights) - 1
     cache = []
     for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ W.T
-        z += b
-        if l < len(net.weights) - 1:
-            np.maximum(z, LEAKY_SLOPE * z, out=z)
+        z = _layer(a, W, b, l < last)
         cache.append((a, z))
         a = z
     return a, cache
+
+
+def _infer(net, x, where):
+    """forward(net, x)[0] without the cache, for scoring; a non-finite output raises
+    FloatingPointError naming `where`.
+
+    x is rebound to each layer's output in turn, so the pass holds at most two adjacent
+    layers: a batch the caller hands over without keeping it goes once layer 0 has run.
+    """
+    x = _net_input(net, x)
+    last = len(net.weights) - 1
+    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
+        x = _layer(x, W, b, l < last)
+    return _check_finite(x, where)
 
 
 def backward(net, cache, grad_raw):
@@ -129,11 +181,23 @@ def backward(net, cache, grad_raw):
     for l in range(len(net.weights) - 1, -1, -1):
         a_prev, a = cache[l]
         if l < len(net.weights) - 1:  # g is a fresh product here, so scaling it in place is safe
-            g *= np.where(a > 0, 1.0, LEAKY_SLOPE)
+            _leaky_mask_(g, a)
         grads[l] = (g.T @ a_prev, g.sum(axis=0))
         if l:  # the gradient wrt the net input is never used
             g = g @ net.weights[l]
     return grads
+
+
+def _leaky_mask_(g, a):
+    """g *= where(a > 0, 1.0, LEAKY_SLOPE) in place, a row block at a time.
+
+    The factor is max(a > 0, LEAKY_SLOPE): the comparison writes exactly 1.0 or 0.0 into the
+    scratch block, so the maximum is exactly 1.0 or LEAKY_SLOPE.
+    """
+    for rows, s in _row_blocks(g):
+        np.greater(a[rows], 0.0, out=s)
+        np.maximum(s, LEAKY_SLOPE, out=s)
+        g[rows] *= s
 
 
 # ---------------------------------------------------------------------------
@@ -550,27 +614,27 @@ def _stats_row(trial, seed, lr, epoch, split, head, errs_deg):
                     mean_deg=mean, median_deg=med, p10_deg=p10, p90_deg=p90)
 
 
-def _finite_forward(net, x, where):
-    """forward(net, x); a non-finite net output raises FloatingPointError naming `where`."""
-    raw, cache = forward(net, x)
+def _check_finite(raw, where):
+    """raw; a non-finite entry raises FloatingPointError naming `where`."""
     if not np.isfinite(raw).all():
         raise FloatingPointError(f"{where}: network output is not finite")
-    return raw, cache
+    return raw
 
 
 def _readout(net, head, x, where):
-    """(cache, q, R, aux, valid) of a batch: forward's cache, then head_forward of its output.
+    """(cache, q, R, aux, valid) of a training batch: forward's cache, then head_forward of its
+    output.
 
     A non-finite net output raises FloatingPointError naming `where` before the
     head reads it.
     """
-    raw, cache = _finite_forward(net, x, where)
-    return cache, *head_forward(head, raw)
+    raw, cache = forward(net, x)
+    return cache, *head_forward(head, _check_finite(raw, where))
 
 
 def evaluate(net, head, x, R_gt, where):
     """Angular errors in degrees over the valid samples of a batch; a non-finite net output raises."""
-    _, _, R, _, valid = _readout(net, head, x, where)
+    _, R, _, valid = head_forward(head, _infer(net, x, where))
     return np.rad2deg(so3.d_ang(R, R_gt))[valid]
 
 
@@ -692,8 +756,8 @@ def dt_evaluate(net, cfg, q, corruption, rng, n_mix, n_reference=DT_REFERENCE):
     n_corrupt = 0 if corruption == "none" else n_mix // 2
     n_clean = n_mix - n_corrupt
     # Reference, clean and corrupted blocks, drawn from rng in this order.
-    x, _, _ = sample_batch(cfg, rng, n_reference)
-    raw, _ = _finite_forward(net, x, "dt-eval reference block")
+    # The reference batch goes straight into the pass, so it is freed once layer 0 has run.
+    raw = _infer(net, sample_batch(cfg, rng, n_reference)[0], "dt-eval reference block")
     threshold = dt_fit(dispersion_trace(theta_to_A(raw)), min(q, 1.0))
     blocks = [(n_clean, "none", "clean")]
     if n_corrupt:
@@ -701,7 +765,9 @@ def dt_evaluate(net, cfg, q, corruption, rng, n_mix, n_reference=DT_REFERENCE):
     traces, errors = [], []
     for n, kind, name in blocks:
         x, _, R_gt = sample_batch(cfg, rng, n, corruption=kind)
-        _, _, R, dec, _ = _readout(net, "A", x, f"dt-eval {name} block")
+        raw = _infer(net, x, f"dt-eval {name} block")
+        del x  # not held while the next block is drawn
+        _, R, dec, _ = head_forward("A", raw)
         traces.append(dec.dispersion_trace)
         errors.append(np.rad2deg(so3.d_ang(R, R_gt)))
     mix = np.concatenate(traces)

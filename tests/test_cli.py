@@ -654,6 +654,27 @@ def test_train_holds_one_net_at_a_time(tmp_path):
     assert peak_kib / 1024 <= 100
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_dt_eval_at_the_wide_model_mix_bound_holds_one_batch_at_a_time(tmp_path):
+    """--mix 1393, the largest cli.DT_EVAL_BUDGET admits for matches_per_rotation 1000. The
+    1000-row reference batch (48 MB) is freed once the net's first layer has run, so it is not
+    held while the mix blocks are drawn: the run peaks at about 127 MB, where holding it peaked
+    at about 160 MB. The budget promises 200 MB."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"matches_per_rotation": 1000, "epochs": 0, "trials": 1,
+                               "head": "A"}))
+    subprocess.run([sys.executable, "-m", "so3sym.cli", "--out", str(tmp_path / "m"), "train",
+                    str(cfg), "--save-model"], cwd=REPO, env=env, capture_output=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", _PEAK, "--out", str(tmp_path / "dt"), "dt-eval",
+                           str(tmp_path / "m" / "model_A_t0.npz"), "--mix", "1393"], cwd=REPO,
+                          env=env, capture_output=True, text=True, check=True)
+    code, peak_kib = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0 and len((tmp_path / "dt" / "dt_rows.csv").read_text().splitlines()) == 2 + 1393
+    assert peak_kib / 1024 <= 200
+    assert peak_kib / 1024 <= 145
+
+
 @pytest.mark.parametrize("key, value", [("trials", 0), ("lr", -1), ("batch_rotations", 0)])
 def test_train_out_of_range_config_exits_2(tmp_path, capsys, key, value):
     code, _, err = run(capsys, "--out", tmp_path / "out", "train", write_cfg(tmp_path, **{key: value}))

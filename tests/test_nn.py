@@ -7,8 +7,9 @@ import pytest
 
 from so3sym import bingham, nn, so3, symrep
 
-from util import (adam_step_reference, backward_reference, forward_reference, is_rotation,
-                  random_rotations, sample_batch_reference, write_model, write_model_with_bare_header,
+from util import (adam_step_reference, backward_reference, backward_whole_layer_reference,
+                  forward_reference, forward_whole_layer_reference, is_rotation, random_rotations,
+                  sample_batch_reference, write_model, write_model_with_bare_header,
                   zero_initial_nets)
 
 
@@ -807,6 +808,43 @@ def test_sample_batch_peak_memory_is_at_most_thirteen_floats_per_pair(corruption
     assert peak <= 13 * n * m * np.dtype(float).itemsize
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_forward_peak_memory_is_its_cache_plus_one_row_block():
+    # The leaky ReLU runs in place through one scratch block, not a full-size temporary per
+    # hidden layer; the input is the caller's and is not counted.
+    cfg = nn.TrainConfig()
+    net = nn.init_net(nn.layer_dims(cfg, "A"), np.random.default_rng(0))
+    x, _, _ = nn.sample_batch(cfg, np.random.default_rng(1), 2000)
+    (raw, cache), peak = _traced_peak(lambda: nn.forward(net, x))
+    block = nn._ROW_BLOCK * max(cfg.hidden_widths) * x.itemsize
+    assert peak <= sum(z.nbytes for _, z in cache) + block + 4096
+
+
+def test_dt_evaluate_peak_memory_is_two_adjacent_layers_plus_the_input():
+    # The scoring pass drops each layer's input as its output is made, and the reference batch
+    # is not held once layer 0 has run.
+    cfg = nn.TrainConfig()
+    net = nn.init_net(nn.layer_dims(cfg, "A"), np.random.default_rng(0))
+    n = 2000
+    nn.dt_evaluate(net, cfg, 0.75, "noise", np.random.default_rng(1), n_mix=10)  # fills caches
+    report, peak = _traced_peak(lambda: nn.dt_evaluate(net, cfg, 0.75, "noise",
+                                                        np.random.default_rng(1), n_mix=n,
+                                                        n_reference=n))
+    assert len(report.traces) == n
+    itemsize = np.dtype(float).itemsize
+    layers = 2 * n * max(cfg.hidden_widths) * itemsize
+    assert peak <= layers + n * 6 * cfg.matches_per_rotation * itemsize
+
+
 def test_leaky_relu_matches_where_reference():
     # Zero weights make the hidden pre-activations the biases (a matmul never yields -0.0, so
     # -0.0 comes out +0.0; the backward mask is checked on -0.0 below).
@@ -916,6 +954,86 @@ def test_backward_mask_from_outputs_equals_mask_from_preactivations():
         ref = backward_reference(net, [(x, z), (a1, z2), (a2, z3)], g)
     for (dW, db), (dW_ref, db_ref) in zip(got, ref):
         assert _same_bits(dW, dW_ref) and _same_bits(db, db_ref)
+
+
+# Row counts around the leaky ReLU's row block, and a large scoring batch.
+BLOCK_ROWS = [1, nn._ROW_BLOCK - 1, nn._ROW_BLOCK, nn._ROW_BLOCK + 1, 2000]
+
+
+def _special_values(shape, rng):
+    """Normal draws with +-0.0, NaN and +-inf scattered through every row block."""
+    z = rng.standard_normal(shape)
+    flat = z.reshape(-1)
+    for k, value in enumerate([0.0, -0.0, np.nan, np.inf, -np.inf]):
+        flat[k::7] = value
+    return z
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+def test_leaky_relu_in_place_equals_whole_layer_formula(rows):
+    z = _special_values((rows, 130), np.random.default_rng(rows))
+    want = np.maximum(z, nn.LEAKY_SLOPE * z)
+    nn._leaky_relu_(z)
+    assert _same_bits(z, want)
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+def test_forward_and_inference_pass_equal_whole_layer_reference(rows, monkeypatch):
+    # Layer 0's units 0-1 have zero weights and bias, so their pre-activations are +0.0 (a matmul
+    # never yields -0.0); rows 1, 2 and 3 (mod 4) carry inf, -inf and NaN into every layer.
+    rng = np.random.default_rng(rows)
+    net = nn.init_net([12, 130, 64, 10], rng)
+    net.weights[0][:2] = 0.0
+    net.biases[0][:2] = 0.0
+    x = rng.standard_normal((rows, 12))
+    x[1::4, 0], x[2::4, 0], x[3::4, 0] = np.inf, -np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        raw, cache = nn.forward(net, x)
+        raw_ref, cache_ref = forward_whole_layer_reference(net, x)
+        if rows > 1:
+            with pytest.raises(FloatingPointError, match="^here: network output is not finite$"):
+                nn._infer(net, x, "here")
+        monkeypatch.setattr(nn, "_check_finite", lambda raw, where: raw)
+        assert _same_bits(nn._infer(net, x, "here"), raw)
+    assert _same_bits(raw, raw_ref)
+    for (a_in, a_out), (a_in_ref, a_out_ref) in zip(cache, cache_ref):
+        assert _same_bits(a_in, a_in_ref) and _same_bits(a_out, a_out_ref)
+    a0 = cache[0][1]  # leaky ReLU keeps +0.0, NaN and +-inf as they are
+    assert (a0[::4, :2] == 0).all() and not np.signbit(a0[::4, :2]).any()
+    if rows > 3:
+        assert np.isposinf(a0[1::4]).any() and np.isneginf(a0[1::4]).any()
+        assert np.isnan(a0[3::4]).all()
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+def test_backward_equals_whole_layer_reference(rows):
+    # Cached outputs holding +-0.0, NaN and +-inf, as forward leaves a leaky layer's output.
+    rng = np.random.default_rng(rows)
+    net = nn.init_net([12, 130, 64, 10], rng)
+    cache, a = [], rng.standard_normal((rows, 12))
+    for l, W in enumerate(net.weights):
+        z = _special_values((rows, len(W)), rng)
+        out = np.maximum(z, nn.LEAKY_SLOPE * z) if l < len(net.weights) - 1 else z
+        cache.append((a, out))
+        a = out
+    g = rng.standard_normal((rows, 10))
+    g_before = g.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = nn.backward(net, cache, g)
+        ref = backward_whole_layer_reference(net, cache, g)
+    assert _same_bits(g, g_before)
+    for (dW, db), (dW_ref, db_ref) in zip(got, ref):
+        assert _same_bits(dW, dW_ref) and _same_bits(db, db_ref)
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+def test_inference_pass_equals_forward_bitwise(rows):
+    cfg = nn.TrainConfig()
+    net = nn.init_net(nn.layer_dims(cfg, "A"), np.random.default_rng(rows))
+    x, _, _ = nn.sample_batch(cfg, np.random.default_rng(rows + 1), rows)
+    assert _same_bits(nn._infer(net, x, "here"), nn.forward(net, x)[0])
+    with pytest.raises(ValueError, match=r"input shape \(3, 59\) is not \(B, 60\)"):
+        nn._infer(net, np.zeros((3, 59)), "here")
 
 
 def test_adam_step_equals_out_of_place_oracle_and_leaves_inputs_alone():

@@ -249,6 +249,35 @@ def backward_reference(net, cache, grad_raw):
     return grads
 
 
+def forward_whole_layer_reference(net, x):
+    """nn.forward with the leaky ReLU over each whole layer at once, through a full-size
+    LEAKY_SLOPE * z temporary; cache[l] is (input, output), as nn.forward leaves it."""
+    a = np.asarray(x, dtype=float)
+    cache = []
+    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ W.T
+        z += b
+        if l < len(net.weights) - 1:
+            np.maximum(z, nn.LEAKY_SLOPE * z, out=z)
+        cache.append((a, z))
+        a = z
+    return a, cache
+
+
+def backward_whole_layer_reference(net, cache, grad_raw):
+    """nn.backward with each whole layer's leaky mask built at once, np.where(a > 0, 1.0,
+    LEAKY_SLOPE) on the cached outputs."""
+    g = np.asarray(grad_raw, dtype=float)
+    grads = [None] * len(net.weights)
+    for l in range(len(net.weights) - 1, -1, -1):
+        a_prev, a = cache[l]
+        if l < len(net.weights) - 1:
+            g = g * np.where(a > 0, 1.0, nn.LEAKY_SLOPE)
+        grads[l] = (g.T @ a_prev, g.sum(axis=0))
+        g = g @ net.weights[l]
+    return grads
+
+
 def adam_step_reference(state, params, grads):
     """Adam that rebinds state.m and state.v to new arrays, stepping in Kingma & Ba's efficient
     order: p - lr_t m / (sqrt(v) + eps_t), lr_t = lr sqrt(1 - b2^t) / (1 - b1^t), eps_t = eps
