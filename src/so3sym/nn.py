@@ -621,31 +621,42 @@ def _check_finite(raw, where):
     return raw
 
 
-def _readout(net, head, x, where):
-    """(cache, q, R, aux, valid) of a training batch: forward's cache, then head_forward of its
-    output.
-
-    A non-finite net output raises FloatingPointError naming `where` before the
-    head reads it.
-    """
-    raw, cache = forward(net, x)
-    return cache, *head_forward(head, _check_finite(raw, where))
-
-
 def evaluate(net, head, x, R_gt, where):
     """Angular errors in degrees over the valid samples of a batch; a non-finite net output raises."""
     _, R, _, valid = head_forward(head, _infer(net, x, where))
     return np.rad2deg(so3.d_ang(R, R_gt))[valid]
 
 
+def _train_step(net, state, head, loss, batch, where):
+    """One Adam step on the mean loss over the valid samples of an (x, q_gt, R_gt) batch (none
+    valid: no step); returns (errors_deg, degenerate), the valid samples' angular errors in degrees
+    before the step and the count of the others. A non-finite net output raises naming `where`."""
+    x, q_gt, R_gt = batch
+    raw, cache = forward(net, x)
+    q, R, aux, valid = head_forward(head, _check_finite(raw, where))
+    n_valid = int(valid.sum())
+    if n_valid:
+        _, gq, gR = loss_eval(loss, q, R, q_gt, R_gt)
+        # Mean over valid samples; invalid ones contribute zero gradient.
+        scale = (valid / n_valid)
+        if gq is not None:
+            gq = gq * scale[..., None]
+        if gR is not None:
+            gR = gR * scale[..., None, None]
+        grad_raw = head_backward(head, q, aux, gq, gR)
+        grad_raw = np.where(valid[..., None], grad_raw, 0.0)
+        grads = backward(net, cache, grad_raw)
+        net.set_params(adam_step(state, net.params(), [g for dW_db in grads for g in dW_db]))
+    return np.rad2deg(so3.d_ang(R, R_gt))[valid], valid.size - n_valid
+
+
 @np.errstate(over="ignore", invalid="ignore")  # divergence raises below, without warnings first
 def train_single(cfg, head, trial=0):
     """Train one head for one trial; returns a TrialResult. Divergence raises FloatingPointError.
 
-    Epoch 0 scores the untrained net on one training batch and on the test set, and steps
-    nothing. Each later epoch scores each of its batches_per_epoch batches before its step and
-    counts its degenerate samples; a batch with none valid skips its step. Each epoch gives a
-    train row, then a test row."""
+    Epoch 0 scores the untrained net on one training batch and on the test set. Each later epoch
+    runs _train_step on its batches_per_epoch batches. Each epoch gives a train row, then a test
+    row."""
     _check_head_loss(head, cfg.loss)
     lr = cfg.lr
     if lr is None:
@@ -660,26 +671,14 @@ def train_single(cfg, head, trial=0):
         epoch_errs = []
         for batch in range(cfg.batches_per_epoch if epoch else 1):
             rng = rng_for(cfg.seed, trial, _STREAM_TRAIN, epoch, batch)
-            x, q_gt, R_gt = sample_batch(cfg, rng, cfg.batch_rotations)
-            cache, q, R, aux, valid = _readout(net, head, x, f"{at}, batch {batch}")
-            epoch_errs.append(np.rad2deg(so3.d_ang(R, R_gt))[valid])
-            if not epoch:
-                continue
-            n_valid = int(valid.sum())
-            degenerate += valid.size - n_valid
-            if n_valid == 0:
-                continue
-            loss, gq, gR = loss_eval(cfg.loss, q, R, q_gt, R_gt)
-            # Mean over valid samples; invalid ones contribute zero gradient.
-            scale = (valid / n_valid)
-            if gq is not None:
-                gq = gq * scale[..., None]
-            if gR is not None:
-                gR = gR * scale[..., None, None]
-            grad_raw = head_backward(head, q, aux, gq, gR)
-            grad_raw = np.where(valid[..., None], grad_raw, 0.0)
-            grads = backward(net, cache, grad_raw)
-            net.set_params(adam_step(state, net.params(), [g for dW_db in grads for g in dW_db]))
+            data = sample_batch(cfg, rng, cfg.batch_rotations)
+            where = f"{at}, batch {batch}"
+            if epoch:
+                errs, n_degenerate = _train_step(net, state, head, cfg.loss, data, where)
+            else:  # scored only, by the cache-free pass
+                errs, n_degenerate = evaluate(net, head, data[0], data[2], where), 0
+            epoch_errs.append(errs)
+            degenerate += n_degenerate
         rows.append(_stats_row(trial, cfg.seed, lr, epoch, "train", head, np.concatenate(epoch_errs)))
         rows.append(_stats_row(trial, cfg.seed, lr, epoch, "test", head,
                                evaluate(net, head, test_x, test_R, f"{at}, test set")))

@@ -511,6 +511,67 @@ def test_all_degenerate_training_counts_later_epochs_and_never_steps(monkeypatch
     assert all(np.isnan([r.mean_deg, r.median_deg, r.p10_deg, r.p90_deg]).all() for r in trial.rows)
 
 
+@pytest.mark.parametrize("head", nn.HEADS)
+def test_epoch_zero_scores_without_a_cached_pass_and_names_its_batch(monkeypatch, head):
+    """Epoch 0 only scores, through the cache-free pass: nothing runs forward, the loss,
+    backward or Adam. A diverged untrained net raises naming epoch 0's one batch."""
+    calls = dict.fromkeys(["forward", "loss_eval", "backward", "adam_step"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(nn, name, counted(name, getattr(nn, name)))
+    cfg = small_cfg(head=head, epochs=0, batch_rotations=7, test_rotations=5)
+    trial = nn.train_single(cfg, head)
+    assert calls == dict.fromkeys(calls, 0)
+    assert [(r.epoch, r.split) for r in trial.rows] == [(0, "train"), (0, "test")]
+
+    init_net = nn.init_net
+
+    def huge_net(dims, rng):
+        net = init_net(dims, rng)
+        for W in net.weights:
+            W *= 1e200
+        return net
+    monkeypatch.setattr(nn, "init_net", huge_net)
+    with pytest.raises(FloatingPointError, match=r"epoch 0, batch 0: network output is not finite"):
+        nn.train_single(cfg, head)
+
+
+@pytest.mark.parametrize("head, loss", [(h, l) for h in nn.HEADS for l in nn.LOSSES
+                                        if (h, l) != ("6d", "quat")])
+def test_train_step_on_mixed_batch_steps_on_its_valid_rows_alone(monkeypatch, head, loss):
+    """With every bias zero, an all-zero input row reaches the head as a zero raw output, which
+    each head reports degenerate. A step on a batch mixing such rows with valid ones returns the
+    valid rows' errors and the zero-row count, and hands Adam the valid rows' own gradients."""
+    cfg = small_cfg(batch_rotations=9)
+    net = nn.init_net(nn.layer_dims(cfg, head), np.random.default_rng(5))
+    for b in net.biases:
+        b[...] = 0.0
+    x, q_gt, R_gt = nn.sample_batch(cfg, np.random.default_rng(6), cfg.batch_rotations)
+    zero = np.array([1, 0, 0, 1, 0, 1, 0, 0, 1], dtype=bool)
+    x[zero] = 0.0
+    grads = []
+    monkeypatch.setattr(nn, "adam_step", lambda state, params, g: grads.append(g) or params)
+
+    def step(rows):
+        state = nn.adam_init(net.params(), 1e-3)
+        return nn._train_step(net, state, head, loss, (x[rows], q_gt[rows], R_gt[rows]), "here")
+    errs, degenerate = step(np.ones(len(x), dtype=bool))
+    errs_valid, degenerate_valid = step(~zero)
+    assert degenerate == zero.sum() and degenerate_valid == 0
+    assert errs.shape == (len(x) - zero.sum(),)
+    np.testing.assert_allclose(errs, errs_valid, rtol=1e-12)  # eigh rounds per batch size
+    mixed, alone = grads
+    assert len(mixed) == len(alone) == 2 * len(net.weights)
+    for g, g_ref in zip(mixed, alone):
+        assert np.isfinite(g).all()
+        assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+
+
 def test_quat_loss_rejected_for_sixd_head():
     with pytest.raises(ValueError):
         nn.train_single(small_cfg(loss="quat"), "6d")
