@@ -295,7 +295,8 @@ def head_forward(head, raw):
 def head_backward(head, q, aux, grad_q, grad_R):
     """Gradient wrt raw from upstream gradients wrt q and/or R, at head_forward's q and aux.
 
-    The 6d head reads grad_R only. Only meaningful where head_forward reports valid.
+    The 6d head reads grad_R only. Only meaningful where head_forward reports valid, but every
+    head maps a zero upstream to a zero gradient on every row, degenerate ones included.
     """
     if grad_R is not None and head != "6d":
         extra = _grad_R_to_grad_q(q, grad_R)
@@ -637,14 +638,13 @@ def _train_step(net, state, head, loss, batch, where):
     n_valid = int(valid.sum())
     if n_valid:
         _, gq, gR = loss_eval(loss, q, R, q_gt, R_gt)
-        # Mean over valid samples; invalid ones contribute zero gradient.
+        # Mean over valid samples: a degenerate one's zero upstream stays zero in head_backward.
         scale = (valid / n_valid)
         if gq is not None:
             gq = gq * scale[..., None]
         if gR is not None:
             gR = gR * scale[..., None, None]
         grad_raw = head_backward(head, q, aux, gq, gR)
-        grad_raw = np.where(valid[..., None], grad_raw, 0.0)
         grads = backward(net, cache, grad_raw)
         net.set_params(adam_step(state, net.params(), [g for dW_db in grads for g in dW_db]))
     return np.rad2deg(so3.d_ang(R, R_gt))[valid], valid.size - n_valid
@@ -797,12 +797,9 @@ def last_layer_decompose(W, b, gamma):
         raise ValueError(f"b must be a 10-vector, got {b.shape}")
     if gamma.shape != (W.shape[1],):
         raise ValueError(f"gamma must have length {W.shape[1]}, got {gamma.shape}")
-    bases = [theta_to_A(W[:, i]) for i in range(W.shape[1])]
+    bases = theta_to_A(W.T)
     bias_A = theta_to_A(b)
-    combined = bias_A.copy()
-    for g, base in zip(gamma, bases):
-        combined += g * base
-    return bases, bias_A, combined
+    return list(bases), bias_A, np.tensordot(gamma, bases, axes=1) + bias_A
 
 
 # ---------------------------------------------------------------------------

@@ -180,11 +180,12 @@ def qcqp_vjp(decomp, q, grad_q):
     Maps upstream gradients grad_q (..., 4) at the readout q* to
     grad_A = (pinv(lambda1 I - A) grad_q) q*^T, shape (..., 4, 4), with
     pinv(lambda1 I - A) = sum_{i>=2} v_i v_i^T / (lambda1 - lambda_i).
-    Only meaningful where qcqp_forward reports valid; callers mask the rest.
+    Only meaningful where qcqp_forward reports valid, but a zero grad_q gives a zero
+    grad_A on every row: a gap too small to invert (all fail the gate) weighs -1.
     """
     lams, V = decomp.lambdas, decomp.vectors
     denom = lams[..., :1] - lams[..., 1:]
-    denom = np.where(denom == 0.0, -1.0, denom)  # exact ties are invalid rows; avoid 1/0
+    denom = np.where(denom > -np.finfo(float).tiny, -1.0, denom)
     weights = np.concatenate([np.zeros_like(denom[..., :1]), 1.0 / denom], axis=-1)
     coeffs = np.einsum("...jk,...j->...k", V, grad_q) * weights
     Mg = np.einsum("...ik,...k->...i", V, coeffs)

@@ -541,16 +541,23 @@ def test_epoch_zero_scores_without_a_cached_pass_and_names_its_batch(monkeypatch
         nn.train_single(cfg, head)
 
 
-@pytest.mark.parametrize("head, loss", [(h, l) for h in nn.HEADS for l in nn.LOSSES
-                                        if (h, l) != ("6d", "quat")])
-def test_train_step_on_mixed_batch_steps_on_its_valid_rows_alone(monkeypatch, head, loss):
+@pytest.mark.parametrize("head, loss, degenerate_row", [
+    pytest.param(h, l, row, id=f"{h}-{l}" + ("" if row == "zero" else f"-{row}"))
+    for row in ("zero", "subnormal")
+    for h in nn.HEADS for l in nn.LOSSES if (h, l) != ("6d", "quat")])
+def test_train_step_on_mixed_batch_steps_on_its_valid_rows_alone(monkeypatch, head, loss,
+                                                                 degenerate_row):
     """With every bias zero, an all-zero input row reaches the head as a zero raw output, which
-    each head reports degenerate. A step on a batch mixing such rows with valid ones returns the
-    valid rows' errors and the zero-row count, and hands Adam the valid rows' own gradients."""
+    each head reports degenerate; with the last bias entry 0 at 1e-310 instead, it reaches the
+    head as (1e-310, 0, ...), also degenerate, where the A head's eigengap has no finite
+    reciprocal. A step on a batch mixing such rows with valid ones returns the valid rows' errors
+    and the degenerate-row count, and hands Adam the valid rows' own gradients."""
     cfg = small_cfg(batch_rotations=9)
     net = nn.init_net(nn.layer_dims(cfg, head), np.random.default_rng(5))
     for b in net.biases:
         b[...] = 0.0
+    if degenerate_row == "subnormal":
+        net.biases[-1][0] = 1e-310
     x, q_gt, R_gt = nn.sample_batch(cfg, np.random.default_rng(6), cfg.batch_rotations)
     zero = np.array([1, 0, 0, 1, 0, 1, 0, 0, 1], dtype=bool)
     x[zero] = 0.0

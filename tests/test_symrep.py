@@ -298,6 +298,21 @@ def test_training_vjp_matches_jacobian_theta():
     assert np.abs(grad_raw - expect).max() < 1e-12 * max(1.0, np.abs(expect).max())
 
 
+@pytest.mark.parametrize("theta0", [0.0, 1e-310, 1e-300])
+def test_qcqp_vjp_keeps_zero_upstream_zero_on_degenerate_rows(theta0):
+    """A zero grad_q gives a zero grad_A on every row, with no warning, also where the gate
+    fails: an exact tie (0), a gap below the smallest normal float whose reciprocal overflows
+    (1e-310) and a tiny normal gap (1e-300)."""
+    theta = np.zeros((2, 10))
+    theta[0] = np.random.default_rng(25).standard_normal(10)
+    theta[1, 0] = theta0
+    q, dec, valid = symrep.qcqp_forward(symrep.theta_to_A(theta))
+    assert valid.tolist() == [True, False]
+    grad_A = symrep.qcqp_vjp(dec, q, np.zeros((2, 4)))
+    assert grad_A.shape == (2, 4, 4)
+    assert np.all(grad_A == 0.0)
+
+
 def test_qcqp_forward_valid_mask_matches_qcqp_solve():
     rng = np.random.default_rng(23)
     A = np.stack([np.eye(4), rand_sym(rng), np.zeros((4, 4)), np.diag([0.0, 1.0, 2.0, 3.0])])
