@@ -90,9 +90,6 @@ class DenseNet:
     def params(self):
         return [p for W_b in zip(self.weights, self.biases) for p in W_b]
 
-    def set_params(self, params):
-        self.weights[:], self.biases[:] = params[0::2], params[1::2]
-
 
 def layer_dims(cfg, head):
     """Widths of the net train builds for head: the input, each hidden layer, the head's output."""
@@ -375,7 +372,7 @@ def adam_init(params, lr):
 
 
 def adam_step(state, params, grads):
-    """One bias-corrected Adam update; mutates state, returns new params.
+    """One bias-corrected Adam update; mutates state and updates params in place.
 
     The bias corrections are folded into the step size and epsilon, as in Kingma & Ba
     (2015, section 2): p - lr_t m / (sqrt(v) + eps_t), with lr_t = lr sqrt(1 - b2^t) / (1 - b1^t)
@@ -389,7 +386,6 @@ def adam_step(state, params, grads):
     root = math.sqrt(1 - b2 ** t)
     lr_t = state.lr * root / (1 - b1 ** t)
     eps_t = state.eps * root
-    out = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         # m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g, in place
         s = np.multiply(g, 1 - b1)
@@ -399,13 +395,12 @@ def adam_step(state, params, grads):
         s *= g
         v *= b2
         v += s
-        # p - lr_t m / (sqrt(v) + eps_t), with s as the denominator
+        # p -= lr_t m / (sqrt(v) + eps_t), with s as the denominator
         np.sqrt(v, out=s)
         s += eps_t
         step = np.multiply(m, lr_t)
         step /= s
-        out.append(np.subtract(p, step, out=step))
-    return out
+        p -= step
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +641,7 @@ def _train_step(net, state, head, loss, batch, where):
             gR = gR * scale[..., None, None]
         grad_raw = head_backward(head, q, aux, gq, gR)
         grads = backward(net, cache, grad_raw)
-        net.set_params(adam_step(state, net.params(), [g for dW_db in grads for g in dW_db]))
+        adam_step(state, net.params(), [g for dW_db in grads for g in dW_db])
     return np.rad2deg(so3.d_ang(R, R_gt))[valid], valid.size - n_valid
 
 

@@ -274,9 +274,10 @@ def test_loss_gradients_through_heads(kind, head):
 
 def test_adam_zero_gradient_is_identity():
     p = [np.array([1.0, -2.0, 3.0])]
+    before = p[0].copy()
     state = nn.adam_init(p, lr=0.1)
-    out = nn.adam_step(state, p, [np.zeros(3)])
-    assert np.array_equal(out[0], p[0])
+    nn.adam_step(state, p, [np.zeros(3)])
+    assert np.array_equal(p[0], before)
 
 
 def test_adam_first_step_oracle():
@@ -284,9 +285,9 @@ def test_adam_first_step_oracle():
     p = [np.array([1.0, -2.0])]
     g = [np.array([2.0, 0.5])]
     state = nn.adam_init(p, lr=0.1)
-    out = nn.adam_step(state, p, g)
     expect = p[0] - 0.1 * g[0] / (np.abs(g[0]) + 1e-8)
-    assert np.allclose(out[0], expect, atol=1e-15)
+    nn.adam_step(state, p, g)
+    assert np.allclose(p[0], expect, atol=1e-15)
 
 
 def test_adam_determinism():
@@ -296,7 +297,7 @@ def test_adam_determinism():
         state = nn.adam_init(p, lr=1e-2)
         for _ in range(10):
             g = [rng.standard_normal((3, 3)), rng.standard_normal(3)]
-            p = nn.adam_step(state, p, g)
+            nn.adam_step(state, p, g)
         return p
     a, b = run(), run()
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -577,6 +578,33 @@ def test_train_step_on_mixed_batch_steps_on_its_valid_rows_alone(monkeypatch, he
     for g, g_ref in zip(mixed, alone):
         assert np.isfinite(g).all()
         assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+
+
+@pytest.mark.parametrize("head", nn.HEADS)
+def test_train_step_updates_the_nets_own_arrays_by_the_oracle_step(monkeypatch, head):
+    """A step leaves net.params() the same array objects, holding the out-of-place Adam oracle's
+    step from the pre-step params and the grads the step's backward produced."""
+    cfg = small_cfg(batch_rotations=9)
+    net = nn.init_net(nn.layer_dims(cfg, head), np.random.default_rng(7))
+    batch = nn.sample_batch(cfg, np.random.default_rng(8), cfg.batch_rotations)
+    held = net.params()
+    before = [p.copy() for p in held]
+    grads = []
+    backward = nn.backward
+
+    def captured(*args):
+        out = backward(*args)
+        grads.append([g for dW_db in out for g in dW_db])
+        return out
+    monkeypatch.setattr(nn, "backward", captured)
+    state = nn.adam_init(net.params(), 1e-3)
+    _, degenerate = nn._train_step(net, state, head, "chord", batch, "here")
+    assert degenerate == 0 and len(grads) == 1
+    expect = adam_step_reference(nn.adam_init(before, 1e-3), before, grads[0])
+    after = net.params()
+    assert len(after) == len(held) and all(p is h for p, h in zip(after, held))
+    assert all(_same_bits(p, e) for p, e in zip(after, expect))
+    assert not all(_same_bits(p, b) for p, b in zip(after, before))
 
 
 def test_quat_loss_rejected_for_sixd_head():
@@ -1104,22 +1132,23 @@ def test_inference_pass_equals_forward_bitwise(rows):
         nn._infer(net, np.zeros((3, 59)), "here")
 
 
-def test_adam_step_equals_out_of_place_oracle_and_leaves_inputs_alone():
+def test_adam_step_steps_params_in_place_and_leaves_grads_alone():
     rng = np.random.default_rng(43)
     params = [rng.standard_normal((5, 3)), rng.standard_normal(5)]
     state = nn.adam_init(params, lr=3e-3)
     state_ref = nn.adam_init(params, lr=3e-3)
-    params_ref = params
+    params_ref = [p.copy() for p in params]
+    held = list(params)
     for step in range(10):
         grads = [rng.standard_normal(p.shape) * (0.0 if step == 3 else 10.0 ** -step) for p in params]
-        before = [a.copy() for a in params + grads]
-        out = nn.adam_step(state, params, grads)
-        out_ref = adam_step_reference(state_ref, params_ref, grads)
-        assert all(_same_bits(a, b) for a, b in zip(params + grads, before))
-        assert all(not np.shares_memory(o, a) for o in out for a in params + grads + state.m + state.v)
-        for a, b in zip(out + state.m + state.v, out_ref + state_ref.m + state_ref.v):
+        grads_before = [g.copy() for g in grads]
+        assert nn.adam_step(state, params, grads) is None
+        params_ref = adam_step_reference(state_ref, params_ref, grads)
+        assert all(p is h for p, h in zip(params, held))
+        assert all(_same_bits(g, b) for g, b in zip(grads, grads_before))
+        assert all(not np.shares_memory(p, a) for p in params for a in grads + state.m + state.v)
+        for a, b in zip(params + state.m + state.v, params_ref + state_ref.m + state_ref.v):
             assert _same_bits(a, b)
-        params, params_ref = out, out_ref
     assert state.step == state_ref.step == 10
 
 

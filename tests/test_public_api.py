@@ -3,7 +3,10 @@
 A public name must be used in src/ outside its own definition (the re-export
 list in __init__.py does not count), be used in benchmarks/, or be on
 LIBRARY_API below with the reason it is kept. A test-only twin of the batched
-code therefore fails here instead of coming back unnoticed.
+code therefore fails here instead of coming back unnoticed. The same holds for
+each public method, property or classmethod written in a public class: its
+name must be read as an attribute in src/ outside its own definition, or in
+benchmarks/.
 
 Every parameter with a default on a public function is on SET_DEFAULTS with
 who sets it, and every private name one so3sym module imports from another is
@@ -11,6 +14,7 @@ on SHARED_PRIVATE, so a knob nobody turns or a leaked helper is a visible edit.
 """
 
 import ast
+import collections
 import importlib
 import inspect
 import pkgutil
@@ -104,6 +108,53 @@ def test_library_api_entries_are_public_and_otherwise_unused():
     used = used_names()
     stale = sorted(n for n in LIBRARY_API if n not in public_names() or n.split(".")[1] in used)
     assert stale == [], f"LIBRARY_API entries that are gone or now have a user: {stale}"
+
+
+def public_methods():
+    """{"module.Class.name"} of every public function, property, classmethod or staticmethod
+    written in a public so3sym class (not one a dataclass generates)."""
+    found = set()
+    for name in public_names():
+        mod, attr = name.split(".")
+        obj = getattr(importlib.import_module(f"so3sym.{mod}"), attr)
+        if not inspect.isclass(obj):
+            continue
+        for key, v in vars(obj).items():
+            fn = v.fget if isinstance(v, property) else getattr(v, "__func__", v)
+            if (not key.startswith("_") and inspect.isfunction(fn)
+                    and fn.__code__.co_filename == str(SRC / f"{mod}.py")):
+                found.add(f"{name}.{key}")
+    return found
+
+
+def _attributes(node):
+    return collections.Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def unread_methods():
+    """public_methods() whose name no attribute in src/ reads outside the method's own
+    definition (the re-export list in __init__.py does not count), and none in benchmarks/."""
+    reads, own = collections.Counter(), {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        reads += _attributes(tree)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                own |= {f"{path.stem}.{cls.name}.{fn.name}": _attributes(fn) for fn in cls.body
+                        if isinstance(fn, ast.FunctionDef)}
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        reads += _attributes(ast.parse(path.read_text()))
+    attr = {m: m.split(".")[2] for m in public_methods()}
+    return sorted(m for m, a in attr.items() if reads[a] == own[m][a])
+
+
+def test_every_public_method_has_a_reader_or_a_reason():
+    # one of each kind the walk must find: a method, a property and a classmethod
+    assert {"nn.DenseNet.params", "bingham.BinghamBelief.mode", "wahba.InputError.at"} <= public_methods()
+    unread = [m for m in unread_methods() if m not in LIBRARY_API]
+    assert unread == [], f"public methods nothing in src/ or benchmarks/ reads; delete them: {unread}"
 
 
 def defaulted_parameters():
