@@ -51,13 +51,14 @@ def belief_from_A(A):
 
 
 def log_density_unnorm(belief, x):
-    """Log of the unnormalized Bingham density, sum_i d_i (d_i . x)^2.
+    """Log of the unnormalized Bingham density, sum_i d_i (e_i . x)^2, with e_i the dispersion
+    axes, over the last axis of x: a scalar for one quaternion, shape (N,) for (N, 4).
 
     Zero at the mode (and its antipode), <= 0 everywhere on the sphere.
     """
     x = np.asarray(x, dtype=float)
     proj = x @ belief.axes[:, :3]
-    return float(np.sum(belief.dispersions * proj * proj))
+    return np.sum(belief.dispersions * proj * proj, axis=-1)
 
 
 def dispersion_trace(A):

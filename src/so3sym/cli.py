@@ -15,12 +15,14 @@ fresh wahba, avg or grad-check process starts without the training stack.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -163,9 +165,29 @@ def cmd_wahba(args):
 # train
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temporary path to write path's new contents to, and move it onto path when the
+    block ends without error, so a reader of path sees the old file or the whole new one.
+
+    The temporary has path's own name (np.savez appends no .npz), inside a directory that
+    mkdtemp makes beside path, on path's file system, for this call alone. The temporary and
+    its directory go whether the block succeeds or raises; nothing else is removed.
+    """
+    tmp_dir = tempfile.mkdtemp(prefix=".so3sym-", dir=os.path.dirname(path))
+    tmp = os.path.join(tmp_dir, os.path.basename(path))
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        os.rmdir(tmp_dir)
+
+
 def _write_csv(path, schema, header, rows):
-    """A CSV file: the schema comment line, the header, then the rows."""
-    with open(path, "w", newline="") as fh:
+    """A CSV file, replaced atomically: the schema comment line, the header, then the rows."""
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         fh.write(schema + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -184,7 +206,8 @@ def cmd_train(args):
         degen += t.degenerate_count
         if args.save_model:
             path = os.path.join(args.out, f"model_{t.head}_t{t.trial}.npz")
-            nn.save_model(path, t.net, t.head, cfg)
+            with _replacing(path) as tmp:
+                nn.save_model(tmp, t.net, t.head, cfg)
             saved.append(path)
         del t  # drop the net before the next trial builds its own
     rows.sort(key=lambda r: (r.head, r.trial, r.epoch, r.split))
@@ -195,7 +218,8 @@ def cmd_train(args):
                map(dataclasses.astuple, rows))
     print(f"wrote {csv_path} ({len(rows)} rows)")
     svg_path = os.path.join(args.out, "learning_curves.svg")
-    svgplot.render_learning_curves(rows, svg_path)
+    with _replacing(svg_path) as tmp:
+        svgplot.render_learning_curves(rows, tmp)
     print(f"wrote {svg_path}")
 
     for path in saved:

@@ -234,38 +234,6 @@ def _unit_backward(u, n, g):
     return (g - u * np.sum(u * g, axis=-1, keepdims=True)) / n
 
 
-def _sixd_head_forward(raw):
-    """Gram-Schmidt of (B, 6) rows: head_forward's (None, R, frame, valid).
-
-    R's columns are b1 = a1/n1, b2 = u2/n2 with u2 = a2 - p b1 and p = b1 . a2, and
-    b1 x b2; frame = (a2, b1, b2, n1, n2, p) is what the backward reads. valid is
-    False where n1 or n2 is below 1e-9; R is the identity there.
-    """
-    a1, a2 = raw[:, :3], raw[:, 3:]
-    b1, n1, valid1 = _unit(a1)
-    p = np.sum(b1 * a2, axis=-1, keepdims=True)
-    b2, n2, valid2 = _unit(a2 - p * b1)
-    valid = valid1 & valid2
-    R = np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
-    return None, np.where(valid[:, None, None], R, np.eye(3)), (a2, b1, b2, n1, n2, p), valid
-
-
-def _sixd_head_backward(frame, grad_R):
-    a2, b1, b2, n1, n2, p = frame
-    g1 = grad_R[..., :, 0]
-    g2 = grad_R[..., :, 1]
-    g3 = grad_R[..., :, 2]
-    # b3 = b1 x b2: <g3, db1 x b2> = <b2 x g3, db1>, <g3, b1 x db2> = <g3 x b1, db2>
-    gb1 = g1 + np.cross(b2, g3)
-    gb2 = g2 + np.cross(g3, b1)
-    gu2 = _unit_backward(b2, n2, gb2)
-    # u2 = a2 - (b1.a2) b1
-    ga2 = gu2 - b1 * np.sum(b1 * gu2, axis=-1, keepdims=True)
-    gb1 = gb1 - a2 * np.sum(b1 * gu2, axis=-1, keepdims=True) - p * gu2
-    ga1 = _unit_backward(b1, n1, gb1)
-    return np.concatenate([ga1, ga2], axis=-1)
-
-
 def head_forward(head, raw):
     """Head readout of a (B, d) batch: (q, R, aux, valid).
 
@@ -283,7 +251,16 @@ def head_forward(head, raw):
     if raw.ndim != 2 or raw.shape[1] != HEAD_DIMS[head]:
         raise ValueError(f"head {head!r} expects (B, {HEAD_DIMS[head]}) input, got {raw.shape}")
     if head == "6d":
-        return _sixd_head_forward(raw)
+        # Gram-Schmidt: R's columns are b1 = a1/n1, b2 = u2/n2 with u2 = a2 - p b1 and
+        # p = b1 . a2, and b1 x b2; aux = (a2, b1, b2, n1, n2, p) is what head_backward reads.
+        # valid is False where n1 or n2 is below 1e-9; R is the identity there.
+        a1, a2 = raw[:, :3], raw[:, 3:]
+        b1, n1, valid1 = _unit(a1)
+        p = np.sum(b1 * a2, axis=-1, keepdims=True)
+        b2, n2, valid2 = _unit(a2 - p * b1)
+        valid = valid1 & valid2
+        R = np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
+        return None, np.where(valid[:, None, None], R, np.eye(3)), (a2, b1, b2, n1, n2, p), valid
     q, aux, valid = _unit(raw) if head == "quat" else qcqp_forward(theta_to_A(raw))
     q = np.where(valid[..., None], q, np.array([0.0, 0.0, 0.0, 1.0]))
     return q, so3.quat_to_rot(q), aux, valid
@@ -301,7 +278,19 @@ def head_backward(head, q, aux, grad_q, grad_R):
     if head == "quat":
         return _unit_backward(q, aux, grad_q)
     if head == "6d":
-        return _sixd_head_backward(aux, grad_R)
+        a2, b1, b2, n1, n2, p = aux
+        g1 = grad_R[..., :, 0]
+        g2 = grad_R[..., :, 1]
+        g3 = grad_R[..., :, 2]
+        # b3 = b1 x b2: <g3, db1 x b2> = <b2 x g3, db1>, <g3, b1 x db2> = <g3 x b1, db2>
+        gb1 = g1 + np.cross(b2, g3)
+        gb2 = g2 + np.cross(g3, b1)
+        gu2 = _unit_backward(b2, n2, gb2)
+        # u2 = a2 - (b1.a2) b1
+        ga2 = gu2 - b1 * np.sum(b1 * gu2, axis=-1, keepdims=True)
+        gb1 = gb1 - a2 * np.sum(b1 * gu2, axis=-1, keepdims=True) - p * gu2
+        ga1 = _unit_backward(b1, n1, gb1)
+        return np.concatenate([ga1, ga2], axis=-1)
     if head == "A":
         return theta_to_A_adjoint(qcqp_vjp(aux, q, grad_q))
     raise ValueError(f"unknown head {head!r}")
@@ -311,43 +300,28 @@ def head_backward(head, q, aux, grad_q, grad_R):
 # Losses
 
 
-def _loss_quat(q, q_gt):
-    dot = np.sum(q * q_gt, axis=-1)
-    s = np.where(dot < 0, -1.0, 1.0)[..., None]
-    diff = q - s * q_gt
-    loss = np.sum(diff * diff, axis=-1)
-    return loss, 2.0 * diff
-
-
-def _loss_chord(R, R_gt):
-    diff = R - R_gt
-    loss = np.sum(diff * diff, axis=(-2, -1))
-    return loss, 2.0 * diff
-
-
-def _loss_ang(R, R_gt):
-    theta = so3.d_ang(R, R_gt)
-    loss = theta * theta
-    # -(theta/sin(theta)) R_gt, with the magnitude clamped approaching pi
-    # (tangentially this is the chordal direction) and the zero subgradient
-    # at the endpoints where Log is non-differentiable.
-    sin_floor = np.sin(np.pi - 1e-6)
-    factor = -theta / np.maximum(np.sin(theta), sin_floor)
-    factor = np.where((theta < 1e-12) | (theta > np.pi - 1e-12), 0.0, factor)
-    return loss, factor[..., None, None] * R_gt
-
-
 def loss_eval(kind, q, R, q_gt, R_gt):
     """Per-sample losses of a batch and their upstream gradients (loss, grad_q, grad_R)."""
     if kind == "quat":
-        loss, gq = _loss_quat(q, q_gt)
-        return loss, gq, None
+        dot = np.sum(q * q_gt, axis=-1)
+        s = np.where(dot < 0, -1.0, 1.0)[..., None]
+        diff = q - s * q_gt
+        loss = np.sum(diff * diff, axis=-1)
+        return loss, 2.0 * diff, None
     if kind == "chord":
-        loss, gR = _loss_chord(R, R_gt)
-        return loss, None, gR
+        diff = R - R_gt
+        loss = np.sum(diff * diff, axis=(-2, -1))
+        return loss, None, 2.0 * diff
     if kind == "ang":
-        loss, gR = _loss_ang(R, R_gt)
-        return loss, None, gR
+        theta = so3.d_ang(R, R_gt)
+        loss = theta * theta
+        # -(theta/sin(theta)) R_gt, with the magnitude clamped approaching pi
+        # (tangentially this is the chordal direction) and the zero subgradient
+        # at the endpoints where Log is non-differentiable.
+        sin_floor = np.sin(np.pi - 1e-6)
+        factor = -theta / np.maximum(np.sin(theta), sin_floor)
+        factor = np.where((theta < 1e-12) | (theta > np.pi - 1e-12), 0.0, factor)
+        return loss, None, factor[..., None, None] * R_gt
     raise ValueError(f"unknown loss {kind!r}")
 
 

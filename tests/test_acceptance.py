@@ -157,37 +157,52 @@ def test_criterion_5_learning_trend(sweep_180, sweep_90):
                 and heads["6d"].median_deg < heads["quat"].median_deg
                 and heads["quat"].p90_deg >= 2.0 * heads["A"].p90_deg)
         ok_hard += cond
+    # The worst trial's continuous margins under the count: quat p90 / A p90 (needs >= 2),
+    # and A and 6d median / quat median (need < 1).
+    p90_ratio = min(h["quat"].p90_deg / h["A"].p90_deg for h in hard.values())
+    a_ratio = max(h["A"].median_deg / h["quat"].median_deg for h in hard.values())
+    sixd_ratio = max(h["6d"].median_deg / h["quat"].median_deg for h in hard.values())
 
     easy = sweep_90.final
     ok_easy = 0
+    balance = 0.0  # the worst trial's max / min head median (needs < 2)
     for heads in easy.values():
         meds = [h.median_deg for h in heads.values()]
         ok_easy += max(meds) < 2.0 * min(meds)
+        balance = max(balance, max(meds) / min(meds))
 
     elapsed = sweep_180.elapsed + sweep_90.elapsed
     ok = ok_hard >= 8 and ok_easy >= 8 and elapsed < 15 * 60
     report(5, "learning trend (180/90 deg)",
-           ok, f"180deg trials passing medians+2x-p90: {ok_hard}/10 (need >=8), "
-               f"90deg balanced trials: {ok_easy}/10 (need >=8), training {elapsed:.0f}s < 900s")
+           ok, f"180deg trials passing medians+2x-p90: {ok_hard}/10 (need >=8; worst quat/A p90 "
+               f"{p90_ratio:.3g}, worst A/quat median {a_ratio:.3g}, worst 6d/quat median "
+               f"{sixd_ratio:.3g}), 90deg balanced trials: {ok_easy}/10 (need >=8; worst max/min "
+               f"median {balance:.3g}), training {elapsed:.0f}s < 900s")
 
 
 def test_criterion_6_dispersion_thresholding(sweep_180):
     assert len(sweep_180.a_nets) == 10
     cfg = sweep_180.cfg
     order_ok = precision_ok = kept_ok = 0
-    precisions = []
+    precisions, trace_gaps, kept_ratios = [], [], []
     for trial, net in sweep_180.a_nets.items():
         rep = nn.dt_evaluate(net, cfg, q=0.75, corruption="noise",
                              rng=rng_for(cfg.seed, trial, 606), n_mix=200)
         order_ok += rep.mean_trace_corrupted > rep.mean_trace_clean
+        trace_gaps.append(rep.mean_trace_corrupted - rep.mean_trace_clean)
         prec = rep.precision if rep.precision is not None else 0.0
         precisions.append(prec)
         precision_ok += prec > 0.60
         kept_ok += rep.mean_error_kept <= rep.mean_error_full
+        kept_ratios.append(rep.mean_error_kept / rep.mean_error_full)
     ok = order_ok >= 9 and precision_ok >= 9 and kept_ok >= 9
+    # The worst trial's continuous margins follow each count.
     report(6, "dispersion-threshold OOD",
-           ok, f"trace order {order_ok}/10, precision>60% {precision_ok}/10 "
-               f"(median precision {100 * np.median(precisions):.0f}%), kept-error<=full {kept_ok}/10; all need >=9")
+           ok, f"trace order {order_ok}/10 (worst corrupted - clean mean trace "
+               f"{min(trace_gaps):.3g}), precision>60% {precision_ok}/10 "
+               f"(median precision {100 * np.median(precisions):.0f}%, worst "
+               f"{100 * min(precisions):.0f}%), kept-error<=full {kept_ok}/10 (worst kept/full "
+               f"{max(kept_ratios):.3g}); all need >=9")
 
 
 # -- 7: rotation averaging vs brute force ----------------------------------------

@@ -135,6 +135,12 @@ def test_quat_mean_empty():
         averaging.quat_mean(np.zeros((0, 4)))
 
 
+def test_quat_mean_zero_sum_raises():
+    # Off-contract input: all-zero rows align to a zero sum, which has no direction.
+    with pytest.raises(ValueError, match=r"aligned sum has norm 0\.000e\+00"):
+        averaging.quat_mean(np.zeros((2, 4)))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: averaging.inertia_matrix(np.zeros((3, 3))),
      r"^expected an \(N, 4\) array of quaternions, got \(3, 3\)$"),

@@ -77,6 +77,16 @@ def test_log_density_at_mode_and_axes():
         assert np.isclose(val, belief.dispersions[i], atol=1e-10)
 
 
+def test_log_density_is_per_sample_over_a_batch():
+    rng = np.random.default_rng(6)
+    belief = bingham.belief_from_A(rand_sym_with_gap(rng))
+    x = so3.random_quats(3, rng)
+    vals = bingham.log_density_unnorm(belief, x)
+    assert vals.shape == (3,)
+    assert np.array_equal(vals, [bingham.log_density_unnorm(belief, xi) for xi in x])
+    assert np.ndim(bingham.log_density_unnorm(belief, x[0])) == 0
+
+
 def test_log_density_mode_is_argmax():
     rng = np.random.default_rng(5)
     belief = bingham.belief_from_A(rand_sym_with_gap(rng))

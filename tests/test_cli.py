@@ -1,3 +1,5 @@
+import csv
+import errno
 import io
 import json
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from so3sym import averaging, bingham, cli, nn, so3, symrep, wahba
+from so3sym import averaging, bingham, cli, nn, so3, svgplot, symrep, wahba
 from so3sym.wahba import SyntheticConfig
 
 from util import kabsch, write_model, write_model_with_bare_header, zero_initial_nets
@@ -625,6 +627,41 @@ def test_train_divergence_keeps_finished_models_only(tmp_path, capsys, monkeypat
     assert sorted(p.name for p in out_dir.iterdir()) == ["model_A_t0.npz"]
     assert ((out_dir / "model_A_t0.npz").read_bytes()
             == (tmp_path / "full" / "model_A_t0.npz").read_bytes())
+
+
+def _spill(fh):
+    """Write part of a file to the open fh, then fail as a full disk does."""
+    fh.write("partial")
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _spill_to(path):
+    with open(path, "w") as fh:
+        _spill(fh)
+
+
+@pytest.mark.parametrize("name, module, attr, writer", [
+    ("results.csv", csv, "writer", _spill),
+    ("learning_curves.svg", svgplot, "render_learning_curves", lambda rows, path: _spill_to(path)),
+    ("model_A_t0.npz", np, "savez", lambda path, **arrays: _spill_to(path)),
+    ("dt_rows.csv", csv, "writer", _spill),
+], ids=["results.csv", "svg", "npz", "dt_rows.csv"])
+def test_a_write_that_fails_mid_file_keeps_the_previous_file(tmp_path, capsys, monkeypatch,
+                                                              name, module, attr, writer):
+    """Outputs are written beside their final name and moved onto it: a writer that fails part
+    way leaves the previous file with its bytes, and no temporary, in a used --out."""
+    cfg, out_dir = write_cfg(tmp_path, head="A"), tmp_path / "out"
+    model = out_dir / "model_A_t0.npz"
+    assert run(capsys, "--out", out_dir, "train", cfg, "--save-model")[0] == 0
+    assert run(capsys, "--out", out_dir, "dt-eval", model)[0] == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert sorted(before) == ["dt_rows.csv", "learning_curves.svg", "model_A_t0.npz", "results.csv"]
+    monkeypatch.setattr(module, attr, writer)
+    argv = ["dt-eval", model] if name == "dt_rows.csv" else ["train", cfg, "--save-model"]
+    code, _, err = run(capsys, "--seed", 1, "--out", out_dir, *argv)
+    assert code == 2 and err.splitlines()[-1] == "error: [Errno 28] No space left on device"
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(before)
+    assert (out_dir / name).read_bytes() == before[name]
 
 
 # The peak resident set of this process alone, in KiB. ru_maxrss would not do: Linux carries
