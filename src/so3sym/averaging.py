@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .so3 import canonicalize_quat
+from .so3 import _unit, canonicalize_quat
 from .symrep import qcqp_solve
 
 
@@ -24,8 +24,10 @@ def _as_quats(quats):
 
 def weight_fault(w):
     """(i, reason) for weight w[i], the first to break the first rule the inertia matrix needs,
-    or None. The rules, in order: each weight >= 0, and 16 s^2 finite for the running sum s,
-    which bounds the matrix's 16 entries that the readout squares."""
+    or None. The rules, in order: each weight >= 0, and 16 s^2 finite for the running sum s.
+    The second keeps the matrix's sum of squared entries, at most 16 s^2, finite. The readout
+    no longer needs that bound, since the eigengap gate measures ||A||_F without overflow;
+    the rule stays, so that the weights avg admits do not change."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.cumsum(w)  # sequential: each partial sum has the bits of a Python running sum
         rules = [(w >= 0, "weight must be >= 0, got {w}"),
@@ -80,9 +82,11 @@ def quat_mean(quats):
     q = _as_quats(quats)
     if len(q) == 0:
         raise ValueError("quat_mean requires at least one quaternion")
-    signs = np.where(q @ q[0] < 0, -1.0, 1.0)
+    # The signs are read at one exact power-of-two scale of the set, where no dot overflows.
+    s = np.ldexp(q, -np.frexp(np.abs(q).max())[1])
+    signs = np.where(s @ s[0] < 0, -1.0, 1.0)
     total = np.sum(q * signs[:, None], axis=0)
-    norm = np.linalg.norm(total)
-    if norm < 1e-9:
-        raise ValueError(f"quaternion mean undefined: aligned sum has norm {norm:.3e}")
-    return canonicalize_quat(total / norm)
+    mean, _, valid = _unit(total)
+    if not valid:
+        raise ValueError(f"quaternion mean undefined: aligned sum has norm {np.linalg.norm(total):.3e}")
+    return canonicalize_quat(mean)

@@ -30,6 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import so3
+from .so3 import _unit
 from .bingham import _quantile, dispersion_trace, dt_classify, dt_fit
 from .symrep import qcqp_forward, qcqp_vjp, theta_to_A, theta_to_A_adjoint
 from .wahba import CORRUPTIONS, InputError, rng_for, sample_rotations
@@ -49,13 +50,16 @@ _ROW_BLOCK = 128
 
 # Inclusive (lo, hi) of the integer config keys; hidden_widths bounds each entry, and
 # MAX_HIDDEN_LAYERS their count. The upper bounds keep a typo from asking for gigabytes: with
-# one key at its bound and the others at their defaults, a one-epoch run peaks under 200 MB
-# (several keys at their bounds still can ask for more). train holds one net at a time, so
-# trials costs no memory. A training step holds every layer's output for backward, plus one
-# row block (_ROW_BLOCK) for the leaky ReLU and its mask; scoring (test sets, dt-eval) holds
-# no cache, only two adjacent layers at a time. Measured peaks: trials 1000 with epochs 0,
-# 42 MB; hidden_widths [128] * 32 with epochs 1, 63 MB, and with epochs 0, head A and 30
-# trials, 54 MB.
+# one key at its bound and the others at their defaults, a run of epochs 0-1 peaks under
+# 200 MB (several keys at their bounds still can ask for more). train holds one net at a
+# time, but it keeps every EpochRow until it writes results.csv: 2 (epochs + 1) trials heads
+# rows. Building the 600 060 rows of epochs 10 000 at the default trials and heads, as
+# train does, raised a process's peak RSS by 243 MB (about 0.42 KB a row), so that one key
+# at its bound already passes 200 MB. A training step holds every layer's output for
+# backward, plus one row block (_ROW_BLOCK) for the leaky ReLU and its mask; scoring (test
+# sets, dt-eval) holds no cache, only two adjacent layers at a time. Measured peaks: trials
+# 1000 with epochs 0, 42 MB; hidden_widths [128] * 32 with epochs 1, 63 MB, and with epochs
+# 0, head A and 30 trials, 54 MB.
 SIZE_BOUNDS = {"epochs": (0, 10_000), "trials": (1, 1000), "batch_rotations": (1, 10_000),
                "matches_per_rotation": (1, 1000), "test_rotations": (1, 10_000),
                "batches_per_epoch": (1, 1000), "hidden_widths": (1, 1024)}
@@ -219,14 +223,6 @@ def _grad_R_to_grad_q(q, grad_R):
     out[..., 2] = 2.0 * (x * s02 + y * s12 + w * d2) - 4.0 * z * (g00 + g11)
     out[..., 3] = 2.0 * (x * d0 + y * d1 + z * d2)
     return out
-
-
-def _unit(v):
-    """(v / n, n, valid) over the last axis: valid is n >= 1e-9, and n is 1.0 where it is not."""
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    valid = n[..., 0] >= 1e-9
-    n[~valid] = 1.0
-    return v / n, n, valid
 
 
 def _unit_backward(u, n, g):
@@ -560,7 +556,8 @@ def sample_batch(cfg, rng, n_rotations, corruption="none"):
         order = rng.permuted(np.broadcast_to(np.arange(m), (n, m)), axis=1)
         v = np.take_along_axis(v, order[..., None], axis=1)
     # |v|^2 summed in np.linalg.norm's order, so to its bits, without its slow reduce
-    # over an axis of length 3.
+    # over an axis of length 3. An observation has no valid mask to report, so this is not
+    # so3._unit, which costs about 4x here; the clamp only keeps a zero v finite.
     norm = np.square(v[..., :1]) + np.square(v[..., 1:2])
     norm += np.square(v[..., 2:])
     v /= np.maximum(np.sqrt(norm, out=norm), 1e-12, out=norm)

@@ -25,13 +25,40 @@ def _as_farray(x, name, last_dims):
     return a
 
 
+def _rescaled(v):
+    """(w, m, n) over the last axis, keepdims: w = v 2**-e for e the exponent of each row's
+    largest |entry| (np.frexp), so no square of w overflows; m = |w|; and the norm n = m 2**e,
+    inf only where it exceeds the float range. A power of two scales normal-range entries
+    exactly, so n has np.linalg.norm(v)'s bits wherever that is finite, and w / m is v / n."""
+    _, e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))
+    w = np.ldexp(v, -e)
+    m = np.linalg.norm(w, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        return w, m, np.ldexp(m, e)
+
+
+def _norm(v):
+    """The 2-norm over the last axis, keepdims, without overflow (see _rescaled)."""
+    return _rescaled(v)[2]
+
+
+def _unit(v):
+    """(u, n, valid) over the last axis: n is the norm, valid is n >= 1e-9, and n is 1.0 where
+    it is not. u is _rescaled's w / m, so v / n where valid, also where n is inf; on an
+    invalid row it is w, finite wherever v is."""
+    w, m, n = _rescaled(v)
+    valid = n[..., 0] >= 1e-9
+    n[~valid] = 1.0
+    m[~valid] = 1.0
+    return w / m, n, valid
+
+
 def normalize_quat(q):
-    """Scale q to unit norm. Raises on norms below 1e-9."""
-    q = _as_farray(q, "quaternion", (4,))
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(n < 1e-9):
-        raise ValueError("cannot normalize quaternion with norm < 1e-09")
-    return q / n
+    """Scale q to unit norm. Raises on norms below 1e-9, and on NaN."""
+    u, _, valid = _unit(_as_farray(q, "quaternion", (4,)))
+    if not valid.all():
+        raise ValueError("cannot normalize quaternion with norm < 1e-09 or NaN")
+    return u
 
 
 def canonicalize_quat(q):
@@ -137,8 +164,8 @@ def axis_angle_to_quat(axis, angle):
 def exp_map(phi):
     """Axis-angle vector -> rotation matrix: quat_to_rot of the half-angle quaternion."""
     phi = _as_farray(phi, "axis-angle", (3,)) + 0.0  # -0.0 -> +0.0: any zero vector gives exactly I
-    theta = np.linalg.norm(phi, axis=-1)
-    return quat_to_rot(axis_angle_to_quat(phi / np.where(theta > 0, theta, 1.0)[..., None], theta))
+    theta = _norm(phi)
+    return quat_to_rot(axis_angle_to_quat(phi / np.where(theta > 0, theta, 1.0), theta[..., 0]))
 
 
 def _vee(M):
@@ -188,6 +215,5 @@ def d_ang(R, R_gt):
 
 def random_quats(n, rng):
     """n unit quaternions uniform on S^3 (normalized 4-D Gaussians)."""
-    q = rng.standard_normal((n, 4))
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return _unit(rng.standard_normal((n, 4)))[0]
 

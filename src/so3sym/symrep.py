@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import canonicalize_quat
+from .so3 import _norm, canonicalize_quat
 
 # (row, col) of the upper triangle addressed by each theta entry, row-major.
 _ROWS, _COLS = np.triu_indices(4)
@@ -144,19 +144,24 @@ def qcqp_forward(A, gap_tol=DEFAULT_GAP_TOL, decomp=None):
     q* is a copy of column 0 of decomp.vectors, the minimum eigenvector in
     canonical sign, and decomp the symeig4(A) it came from (pass it in when
     already computed). valid is False where the minimum eigenvalue is not
-    simple, lambda2 - lambda1 < gap_tol * max(1, ||A||_F); q* there is arbitrary.
+    simple, lambda2 - lambda1 < gap_tol * max(1, ||A||_F), with ||A||_F measured without
+    overflow (so3._norm); q* there is arbitrary.
     """
     A = np.asarray(A, dtype=float)
     if decomp is None:
         decomp = symeig4(A)
     if A.shape == (4, 4):
-        # The sum np.linalg.norm(..., axis=-1) takes, so valid keeps its bits.
+        l1, l2, _, l4 = decomp.lambdas.tolist()
         x = A.reshape(16)
-        fro = math.sqrt(np.add.reduce(x * x))
-        lams = decomp.lambdas
-        valid = np.bool_(float(lams[1]) - float(lams[0]) >= gap_tol * max(1.0, fro))
+        if max(-l1, l4) < 2.0 ** 500:
+            # No entry of a symmetric A exceeds its largest |eigenvalue|, so no square
+            # overflows: the plain sum, whose bits _norm's rescaled one has, in Python scalars.
+            fro = math.sqrt(np.add.reduce(x * x))
+        else:
+            fro = float(_norm(x)[0])
+        valid = np.bool_(l2 - l1 >= gap_tol * max(1.0, fro))
     else:
-        fro = np.linalg.norm(A.reshape(A.shape[:-2] + (16,)), axis=-1)
+        fro = _norm(A.reshape(A.shape[:-2] + (16,)))[..., 0]
         valid = decomp.eigengap >= gap_tol * np.maximum(1.0, fro)
     return decomp.vectors[..., :, 0].copy(), decomp, valid
 

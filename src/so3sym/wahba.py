@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import axis_angle_to_quat, quat_left_matrix, quat_right_matrix, quat_to_rot
+from .so3 import _unit, axis_angle_to_quat, quat_left_matrix, quat_right_matrix, quat_to_rot
 from .symrep import qcqp_solve
 
 
@@ -36,7 +36,10 @@ def pair_fault(u, v, sigma):
     """(i, reason) for pair i, the first to break the first rule the data matrix needs, or None.
     The rules, in order: u, v and sigma finite; sigma > 0; |u|^2 + |v|^2 finite; w = 1/sigma^2
     non-zero (sigma^2 overflows above ~1.34e154, and 1/inf is 0) and finite; and 64 s^2 finite
-    for s = sum w (|u|^2 + |v|^2), which bounds the 16 entries of the matrix its readout squares."""
+    for s = sum w (|u|^2 + |v|^2). The last keeps the data matrix's sum of squared entries,
+    at most 64 s^2, finite. The readout no longer needs that bound, since the eigengap gate
+    measures ||A||_F without overflow; the rule stays, so that the pairs wahba admits do not
+    change."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         w = 1.0 / (sigma * sigma)
         sq = np.sum(u * u + v * v, axis=-1)
@@ -146,8 +149,7 @@ def solve_wahba(c):
 
 def sample_unit_sphere(n, rng):
     """n points uniform on S^2 via normalized 3-D Gaussians."""
-    x = rng.standard_normal((n, 3))
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return _unit(rng.standard_normal((n, 3)))[0]
 
 
 def sample_rotations(n, phi_max, rng):

@@ -55,12 +55,14 @@ SET_DEFAULTS = {
     "symrep.qcqp_jacobian_theta.decomp": "cli.run_grad_check passes its filter's decompositions",
 }
 
-# Private names one so3sym module imports from another, and why they are shared.
+# Private names one so3sym module imports from another: "from -> to, ...: why they are shared".
 SHARED_PRIVATE = {
     "_dispersion_trace": "symrep -> bingham: the one dispersion-trace formula",
     "_lapack_input": "symrep -> bingham: the symmetry check eigvalsh needs too",
+    "_norm": "so3 -> symrep: the one overflow-safe norm, which the eigengap gate measures ||A||_F with",
     "_quantile": "bingham -> nn, svgplot: np.quantile bit for bit, without importing numpy.ma",
     "_read_csv_table": "wahba -> cli: the one reader of both CSV formats",
+    "_unit": "so3 -> averaging, nn, wahba: the one unit-vector rule and its 1e-9 floor",
 }
 
 
@@ -183,10 +185,16 @@ def test_every_default_is_set_by_someone():
 
 
 def test_private_names_shared_across_modules_are_listed():
-    shared = set()
+    shared = collections.defaultdict(set)
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.level:
-                shared |= {a.name for a in node.names if a.name.startswith("_")}
-    assert sorted(shared) == sorted(SHARED_PRIVATE), (
-        "private names imported across so3sym modules differ from SHARED_PRIVATE")
+                for a in node.names:
+                    if a.name.startswith("_"):
+                        shared[a.name].add(f"{node.module} -> {path.stem}")
+    listed = {}
+    for name, why in SHARED_PRIVATE.items():
+        source, targets = why.split(":")[0].split(" -> ")
+        listed[name] = {f"{source} -> {t}" for t in targets.split(", ")}
+    assert dict(shared) == listed, (
+        "private names imported across so3sym modules, or their modules, differ from SHARED_PRIVATE")
